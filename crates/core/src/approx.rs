@@ -47,19 +47,11 @@
 //! model's prediction. Shuffle or hash-partition such inputs first, or use
 //! the exact mode.
 
-// Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
-// the approximate pipeline's stage-graph context keeps its candidate
-// buffers in mutex slots, as the executor's `&C` sharing rule requires.
-#![allow(clippy::disallowed_types)]
-
-use std::sync::Mutex;
-
 use gpu_sim::Device;
 
-use crate::delegate::{build_delegate_vector, DelegateVector};
-use crate::pipeline::{DrTopKResult, PlannedQuery, WorkloadStats};
-use crate::stages::{Resource, StageGraph, StageKind, StageOutcome};
-use topk_baselines::{TopKKey, TopKResult};
+use crate::pipeline::{QueryChain, WorkloadStats};
+use crate::stages::{Resource, StageGraph, StageId, StageKind, StageOutcome};
+use topk_baselines::TopKKey;
 
 /// A recall target in `(0, 1]`, stored in basis points (1/100th of a
 /// percent) so targets stay `Eq`/`Ord`/`Hash` — the engine fuses approximate
@@ -269,134 +261,63 @@ pub fn measured_recall<K: TopKKey>(approx: &[K], exact: &[K]) -> f64 {
     hits as f64 / exact.len() as f64
 }
 
-/// Execute the approximate half of a [`PlannedQuery`] (the plan's config
-/// must carry a strict `Mode::Approx` target; `beta` is the per-bucket
-/// candidate budget the plan resolved).
-///
-/// When `shared_delegates` is `Some`, the candidate-construction scan is
-/// skipped and charged to the provider, exactly like the exact pipeline's
-/// shared-delegate seam — this is how the engine amortizes one bucket scan
-/// over a fused approximate group and how a warm delegate cache serves
-/// repeat approximate traffic without re-reading the corpus. A shared
-/// vector with a *larger* budget than planned is accepted (more candidates
-/// only raises recall); a smaller one is rejected.
-pub(crate) fn dr_topk_approx_planned<K: TopKKey>(
-    device: &Device,
-    data: &[K],
-    shared_delegates: Option<&DelegateVector<K>>,
-    planned: &PlannedQuery,
-) -> DrTopKResult<K> {
-    let config = &planned.config;
-    debug_assert!(
-        config.mode.strict_target().is_some(),
-        "approx execution requires a strict approximate mode"
-    );
-    let k = planned.k.min(data.len());
-    let alpha = planned.alpha;
-    let budget = config.beta;
-
-    if let Some(shared) = shared_delegates {
-        assert_eq!(
-            shared.subrange_size,
-            1usize << alpha,
-            "shared candidate vector was built with a different alpha"
+impl<K: TopKKey> QueryChain<'_, K> {
+    /// The approximate chain of a plan with a strict `Mode::Approx` target
+    /// (its `beta` is the per-bucket candidate budget): the bucket-top-k′
+    /// candidate pass, then the inner top-k straight over the candidates.
+    /// No first top-k, no concatenation, no refill — the input is never
+    /// touched again after the first stage.
+    ///
+    /// A shared candidate vector replaces the first stage, its cost charged
+    /// to the provider exactly like the exact chain's shared-delegate seam —
+    /// this is how the engine amortizes one bucket scan over a fused
+    /// approximate group and how a warm delegate cache serves repeat
+    /// approximate traffic without re-reading the corpus. A shared vector
+    /// with a *larger* budget than planned is accepted (more candidates only
+    /// raises recall); a smaller one is rejected.
+    pub(crate) fn append_approx<'g, C>(
+        &'g self,
+        graph: &mut StageGraph<'g, C>,
+        device: &'g Device,
+        resource: Resource,
+        deps: &[StageId],
+    ) -> StageId {
+        let planned = self.planned;
+        let config = &planned.config;
+        debug_assert!(
+            config.mode.strict_target().is_some(),
+            "approx execution requires a strict approximate mode"
         );
-        assert!(
-            shared.beta >= budget,
-            "shared candidate vector budget {} is below the plan's {}",
-            shared.beta,
-            budget
-        );
-        assert_eq!(
-            shared.num_subranges,
-            data.len().div_ceil(shared.subrange_size),
-            "shared candidate vector does not cover this input"
-        );
-    }
-
-    // The approximate pipeline as a two-stage graph: the bucket-top-k′
-    // candidate pass (absent when a shared, already-built vector is
-    // supplied — its cost belongs to the provider), then the inner top-k
-    // straight over the candidates. No first top-k, no concatenation, no
-    // refill — the input is never touched again after the first stage.
-    struct ApproxCtx<K: TopKKey> {
-        built: Option<DelegateVector<K>>,
-        inner: Option<TopKResult<K>>,
-    }
-    let mut graph: StageGraph<'_, Mutex<ApproxCtx<K>>> = StageGraph::new();
-    let mut deps = Vec::new();
-    if shared_delegates.is_none() {
-        let built_id = graph.add(
-            StageKind::BucketTopKPrime,
-            Resource::Compute(0),
-            &[],
-            move |ctx: &Mutex<ApproxCtx<K>>| {
-                let built = build_delegate_vector(device, data, alpha, budget, config.construction);
-                let outcome = StageOutcome {
-                    stats: built.stats,
-                    time_ms: built.time_ms,
-                };
-                ctx.lock().unwrap().built = Some(built);
-                outcome
-            },
-        );
-        deps.push(built_id);
-    }
-    graph.add(
-        StageKind::SecondTopK,
-        Resource::Compute(0),
-        &deps,
-        move |ctx: &Mutex<ApproxCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let candidates = shared_delegates
-                .or(guard.built.as_ref())
-                .expect("candidate vector available once stage 1 ran");
+        let data = self.data;
+        let k = planned.k.min(data.len());
+        let budget = config.beta;
+        self.lock().alpha = planned.alpha;
+        let deps = self.append_own_pass(graph, StageKind::BucketTopKPrime, device, resource, deps);
+        graph.add(StageKind::SecondTopK, resource, &deps, move |_| {
+            let mut state = self.lock();
+            let candidates = self.delegates(&state, |beta| beta >= budget);
             let inner = config.inner.run(device, &candidates.values, k);
-            let outcome = StageOutcome {
+            state.workload = WorkloadStats {
+                input_len: data.len(),
+                delegate_vector_len: candidates.len(),
+                num_subranges: candidates.num_subranges,
+                ..WorkloadStats::default()
+            };
+            state.built = None;
+            state.values = inner.values;
+            state.kth_value = inner.kth_value;
+            StageOutcome {
                 stats: inner.stats,
                 time_ms: inner.time_ms,
-            };
-            guard.inner = Some(inner);
-            outcome
-        },
-    );
-
-    let ctx = Mutex::new(ApproxCtx {
-        built: None,
-        inner: None,
-    });
-    let report = graph.execute(&ctx);
-    let mut ctx = ctx.into_inner().unwrap();
-    let candidates = shared_delegates
-        .or(ctx.built.as_ref())
-        .expect("candidate vector available");
-    let workload = WorkloadStats {
-        input_len: data.len(),
-        delegate_vector_len: candidates.len(),
-        concatenated_len: 0,
-        num_subranges: candidates.num_subranges,
-        fully_taken_subranges: 0,
-        second_topk_skipped: false,
-        fell_back: false,
-    };
-    let inner = ctx.inner.take().expect("the candidate top-k ran");
-
-    DrTopKResult {
-        values: inner.values,
-        kth_value: inner.kth_value,
-        alpha,
-        time_ms: report.makespan_ms,
-        breakdown: report.phase_breakdown(),
-        workload,
-        stats: report.stats(),
-        stages: report,
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{dr_topk, dr_topk_approx, dr_topk_min, DrTopKConfig};
+    use crate::pipeline::{dr_topk, dr_topk_approx, dr_topk_min, DrTopKConfig, DrTopKResult};
     use gpu_sim::DeviceSpec;
     use topk_baselines::{reference_topk, reference_topk_min};
 

@@ -55,7 +55,7 @@ use gpu_sim::{GpuCluster, KernelStats, TransferDirection};
 use topk_baselines::{reference_topk, Desc, TopKKey};
 
 use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
-use crate::pipeline::{dr_topk_with_stats, DrTopKConfig, PhaseBreakdown};
+use crate::pipeline::{dr_topk, DrTopKConfig, PhaseBreakdown};
 use crate::radix_flags::flag_radix_topk;
 use crate::stages::{
     Executor, Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport, TransferLane,
@@ -567,7 +567,7 @@ fn build_distributed_graph<'a, K: TopKKey>(
                 Resource::Compute(d),
                 &deps,
                 move |ctx: &DistCtx<K>| {
-                    let r = dr_topk_with_stats(device, &data[range], k, config);
+                    let r = dr_topk(device, &data[range], k, config);
                     let outcome = StageOutcome {
                         stats: r.stats,
                         time_ms: r.time_ms,

@@ -78,15 +78,16 @@ pub use distributed::{
 pub use explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 pub use first_topk::{first_topk, FirstTopK};
 pub use pipeline::{
-    as_desc, dr_topk, dr_topk_approx, dr_topk_min, dr_topk_planned, dr_topk_with_stats,
-    DrTopKConfig, DrTopKResult, InnerAlgorithm, PhaseBreakdown, PlannedQuery, WorkloadStats,
+    as_desc, dr_topk, dr_topk_approx, dr_topk_min, dr_topk_planned, DrTopKConfig, DrTopKResult,
+    InnerAlgorithm, PhaseBreakdown, PlannedQuery, QueryChain, SharedDelegates, WorkloadStats,
 };
 pub use radix_flags::{
     flag_radix_select_by_key, flag_radix_select_kth, flag_radix_topk, FlagSelectConfig,
     FlagSelectOutcome,
 };
 pub use rows::{
-    topk_rows, topk_rows_explore, topk_rows_min, topk_rows_on, RowK, RowMatrix, RowTopKResult,
+    topk_rows, topk_rows_explore, topk_rows_min, topk_rows_on, RowChain, RowK, RowMatrix,
+    RowTopKResult,
 };
 pub use stages::{
     ExecutedStage, Executor, Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport,

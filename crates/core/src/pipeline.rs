@@ -8,27 +8,35 @@
 //! top-k-*largest*; [`dr_topk_min`] answers top-k-*smallest* (e.g. k-NN
 //! distances) by running the same machinery through the order-reversing
 //! [`Desc`] key adapter with zero per-element cost.
+//!
+//! Every query path — the exact delegate chain, the inner-algorithm
+//! fallback, the approximate candidate chain ([`crate::approx`]) and the
+//! radix-select chain — is built by one builder of [`QueryChain`], which
+//! appends the path's stages to a graph the caller owns. The standalone
+//! entry points run one chain on a graph of their own; the batching engine
+//! appends many to one graph per unit.
 
 // Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
-// the exact pipeline's stage-graph context keeps its phase buffers in
-// mutex slots, as the executor's `&C` sharing rule requires.
+// a query chain keeps its phase buffers in a mutex slot its stage closures
+// borrow, so stages on other resources of a shared graph never contend.
 #![allow(clippy::disallowed_types)]
 
 use gpu_sim::{Device, KernelStats};
 use std::cmp::Reverse;
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use topk_baselines::{
     bitonic_topk, bucket_topk, radix_topk, BitonicConfig, BucketConfig, Desc, RadixConfig, TopKKey,
     TopKResult,
 };
 
-use crate::approx::{dr_topk_approx_planned, expected_recall, required_budget, Mode, RecallTarget};
+use crate::approx::{expected_recall, required_budget, Mode, RecallTarget};
 use crate::concat::{concatenate, Concatenated};
 use crate::delegate::{build_delegate_vector, ConstructionMethod, DelegateVector};
 use crate::first_topk::{first_topk, FirstTopK};
 use crate::radix_flags::flag_radix_topk;
-use crate::radix_path::radix_dr_topk;
-use crate::stages::{Resource, StageGraph, StageKind, StageOutcome, StageReport};
+use crate::radix_path::RadixState;
+use crate::stages::{Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport};
 use crate::tuning::{auto_alpha, optimal_approx_tuning, ChosenPath, PathHint, PAPER_RULE4_CONST};
 
 /// Which algorithm runs the second top-k (and, for the baselines-assisted
@@ -334,7 +342,7 @@ pub struct DrTopKResult<K: TopKKey = u32> {
 /// input length, α pinned, and the delegate-vs-fallback decision already
 /// made.
 ///
-/// [`dr_topk_with_stats`] is exactly [`PlannedQuery::plan`] followed by
+/// [`dr_topk`] is exactly [`PlannedQuery::plan`] followed by
 /// [`dr_topk_planned`]; the two halves are public so a batching engine can
 /// plan many queries against the same corpus up front and then execute them
 /// against **one shared delegate vector** (built once with
@@ -367,7 +375,7 @@ pub struct PlannedQuery {
 impl PlannedQuery {
     /// Resolve the execution plan of one query (`k` over an `n`-element
     /// input) under `config`. This performs the α resolution and the
-    /// degenerate-split analysis of [`dr_topk_with_stats`] without touching
+    /// degenerate-split analysis of [`dr_topk`] without touching
     /// any data.
     pub fn plan(n: usize, k: usize, config: &DrTopKConfig) -> PlannedQuery {
         assert!(config.beta >= 1, "beta must be at least 1");
@@ -467,19 +475,379 @@ impl PlannedQuery {
     }
 }
 
-/// Run Dr. Top-k on `data`, returning the full result with breakdowns.
-pub fn dr_topk_with_stats<K: TopKKey>(
+/// A delegate (or approximate candidate) vector that several chains read
+/// instead of each building its own. Its one-time construction cost is
+/// charged to whoever built it, never to the chains reading it.
+#[derive(Clone, Copy)]
+pub enum SharedDelegates<'a, K: TopKKey> {
+    /// Built before the graph: a caller-built vector or a cache hit.
+    Built(&'a DelegateVector<K>),
+    /// Filled while the graph runs by an earlier stage every reading chain
+    /// depends on (the engine's shared pass), or set before it runs.
+    Pending(&'a OnceLock<Arc<DelegateVector<K>>>),
+}
+
+impl<'a, K: TopKKey> SharedDelegates<'a, K> {
+    /// The vector; for [`SharedDelegates::Pending`] only once the stage that
+    /// fills it has run.
+    pub(crate) fn get(self) -> &'a DelegateVector<K> {
+        match self {
+            SharedDelegates::Built(dv) => dv,
+            SharedDelegates::Pending(cell) => cell
+                .get()
+                .expect("the shared delegate pass runs before the chains that read it"),
+        }
+    }
+}
+
+/// One query's paper chain, ready to be appended to a stage graph the
+/// caller owns.
+///
+/// The chain is the caller-owned slot its stage closures borrow: it holds
+/// the query (input, resolved plan, optional shared delegate vector) and
+/// every intermediate buffer, so the closures never touch the graph's
+/// context and the same chain appends to a [`StageGraph`] over any context
+/// type. The life cycle is [`QueryChain::new`] → [`QueryChain::append`] →
+/// execute the graph → [`QueryChain::into_result`]. [`dr_topk_planned`] is
+/// exactly that on a graph of its own; the batching engine appends many
+/// chains to one graph per unit.
+pub struct QueryChain<'a, K: TopKKey> {
+    pub(crate) data: &'a [K],
+    pub(crate) planned: &'a PlannedQuery,
+    pub(crate) shared: Option<SharedDelegates<'a, K>>,
+    state: Mutex<ChainState<K>>,
+}
+
+/// A chain's buffers, written by its stages.
+#[derive(Default)]
+pub(crate) struct ChainState<K: TopKKey> {
+    /// The graph indices of the chain's stages.
+    stages: Range<usize>,
+    pub(crate) alpha: u32,
+    /// The chain's own delegate (or candidate) vector, when it builds one.
+    pub(crate) built: Option<DelegateVector<K>>,
+    first: Option<FirstTopK<K>>,
+    concatenated: Option<Concatenated<K>>,
+    /// Selection state of the radix-select path.
+    pub(crate) radix: Option<RadixState<K>>,
+    /// The answer, written by the chain's tail stage.
+    pub(crate) values: Vec<K>,
+    pub(crate) kth_value: K,
+    pub(crate) workload: WorkloadStats,
+}
+
+impl<'a, K: TopKKey> QueryChain<'a, K> {
+    /// A chain answering `planned` over `data`, reading `shared` instead of
+    /// building its own delegate vector when given. The shared vector's α,
+    /// β and subrange count are asserted against the plan when the chain
+    /// reads it; that it was built from *this* `data` is an unchecked caller
+    /// contract.
+    pub fn new(
+        data: &'a [K],
+        planned: &'a PlannedQuery,
+        shared: Option<SharedDelegates<'a, K>>,
+    ) -> Self {
+        QueryChain {
+            data,
+            planned,
+            shared,
+            state: Mutex::new(ChainState::default()),
+        }
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ChainState<K>> {
+        self.state
+            .lock()
+            .expect("a chain stage panicked while holding its buffers")
+    }
+
+    /// Append the chain's stages to `graph` on `device`'s queue `resource`,
+    /// after `deps`, and return the tail stage (`None` for an empty query,
+    /// which needs no stage). Routes like the single-query pipeline:
+    ///
+    /// * a strict approximate plan → the bucket-candidate chain
+    ///   ([`crate::approx`]);
+    /// * without a shared vector, a pinned [`PathHint::Radix`] or an `Auto`
+    ///   hint the data-aware modeled crossover resolves to radix (see
+    ///   `choose_path_sampled`) → the radix-select chain. The crossover also
+    ///   covers plans whose delegate machinery degenerated to one direct
+    ///   inner run. A shared vector pins the delegate path: its construction
+    ///   is already paid for;
+    /// * a plan without delegates → the inner algorithm alone;
+    /// * otherwise the exact delegate chain.
+    ///
+    /// Appending again re-arms the chain's buffers for the new graph.
+    pub fn append<'g, C>(
+        &'g self,
+        graph: &mut StageGraph<'g, C>,
+        device: &'g Device,
+        resource: Resource,
+        deps: &[StageId],
+    ) -> Option<StageId> {
+        let config = &self.planned.config;
+        let k = self.planned.k.min(self.data.len());
+        let first = graph.len();
+        *self.lock() = ChainState::default();
+        let tail = if k == 0 || self.data.is_empty() {
+            None
+        } else {
+            assert!(config.beta >= 1, "beta must be at least 1");
+            Some(
+                if self.planned.use_delegates && config.mode.strict_target().is_some() {
+                    self.append_approx(graph, device, resource, deps)
+                } else if self.shared.is_none()
+                    && (config.path == PathHint::Radix
+                        || config.path.resolve_for(self.data, k, device.spec())
+                            == ChosenPath::Radix)
+                {
+                    self.append_radix(graph, device, resource, deps)
+                } else if !self.planned.use_delegates {
+                    self.append_fallback(graph, device, resource, deps)
+                } else {
+                    self.append_exact(graph, device, resource, deps)
+                },
+            )
+        };
+        self.lock().stages = first..graph.len();
+        tail
+    }
+
+    /// The fallback chain: the inner algorithm runs directly on the input
+    /// as one stage. The workload statistics report it honestly: no
+    /// delegate vector, no concatenation, one effective subrange.
+    fn append_fallback<'g, C>(
+        &'g self,
+        graph: &mut StageGraph<'g, C>,
+        device: &'g Device,
+        resource: Resource,
+        deps: &[StageId],
+    ) -> StageId {
+        let k = self.planned.k.min(self.data.len());
+        self.lock().alpha = self.planned.alpha;
+        graph.add(StageKind::SecondTopK, resource, deps, move |_| {
+            let inner = self.planned.config.inner.run(device, self.data, k);
+            let mut state = self.lock();
+            state.workload = WorkloadStats {
+                input_len: self.data.len(),
+                num_subranges: 1,
+                fell_back: true,
+                ..WorkloadStats::default()
+            };
+            state.values = inner.values;
+            state.kth_value = inner.kth_value;
+            StageOutcome {
+                stats: inner.stats,
+                time_ms: inner.time_ms,
+            }
+        })
+    }
+
+    /// The exact chain, one stage per paper phase on `resource`, chained by
+    /// their buffer dependencies: delegate construction (only when no
+    /// shared vector is read), first top-k, concatenation, second top-k.
+    fn append_exact<'g, C>(
+        &'g self,
+        graph: &mut StageGraph<'g, C>,
+        device: &'g Device,
+        resource: Resource,
+        deps: &[StageId],
+    ) -> StageId {
+        let config = &self.planned.config;
+        let data = self.data;
+        let k = self.planned.k.min(data.len());
+        self.lock().alpha = self.planned.alpha;
+        // Phase 1: delegate vector construction.
+        let deps = self.append_own_pass(
+            graph,
+            StageKind::DelegateConstruction,
+            device,
+            resource,
+            deps,
+        );
+
+        // Phase 2: first top-k on the delegate vector.
+        let first_id = graph.add(StageKind::FirstTopK, resource, &deps, move |_| {
+            let mut state = self.lock();
+            let first = first_topk(
+                device,
+                self.delegates(&state, |beta| beta == config.beta),
+                k,
+                config.resolve_skip_last(),
+            );
+            let outcome = StageOutcome {
+                stats: first.stats,
+                time_ms: first.time_ms,
+            };
+            state.first = Some(first);
+            outcome
+        });
+
+        // Phase 3: concatenation (Rule 1/3 subrange selection + Rule 2
+        // filter).
+        let concat_id = graph.add(StageKind::Concatenate, resource, &[first_id], move |_| {
+            let mut state = self.lock();
+            let subrange_size = self
+                .delegates(&state, |beta| beta == config.beta)
+                .subrange_size;
+            let first = state.first.as_ref().expect("first top-k ran");
+            let concatenated = concatenate(
+                device,
+                data,
+                subrange_size,
+                &first.fully_taken_subranges,
+                &first.partial_delegate_values,
+                first.threshold,
+                config.filtering,
+            );
+            let outcome = StageOutcome {
+                stats: concatenated.stats,
+                time_ms: concatenated.time_ms,
+            };
+            state.concatenated = Some(concatenated);
+            outcome
+        });
+
+        // Phase 4: second top-k on the concatenated vector. The tail frees
+        // the chain's intermediate buffers.
+        graph.add(StageKind::SecondTopK, resource, &[concat_id], move |_| {
+            let mut state = self.lock();
+            let first = state.first.take().expect("first top-k ran");
+            let concatenated = state.concatenated.take().expect("concatenation ran");
+            let (inner, skipped) = second_topk(device, config.inner, &first, &concatenated, k);
+            let delegates = self.delegates(&state, |beta| beta == config.beta);
+            state.workload = WorkloadStats {
+                input_len: data.len(),
+                delegate_vector_len: delegates.len(),
+                concatenated_len: concatenated.elements.len(),
+                num_subranges: delegates.num_subranges,
+                fully_taken_subranges: first.fully_taken_subranges.len(),
+                second_topk_skipped: skipped,
+                fell_back: false,
+            };
+            state.built = None;
+            state.values = inner.values;
+            state.kth_value = inner.kth_value;
+            StageOutcome {
+                stats: inner.stats,
+                time_ms: inner.time_ms,
+            }
+        })
+    }
+
+    /// The chain's own delegate (or approximate candidate) pass, at the
+    /// plan's α and β, after `deps` — absent when the chain reads a shared
+    /// vector. Returns what the chain's next stage waits on.
+    pub(crate) fn append_own_pass<'g, C>(
+        &'g self,
+        graph: &mut StageGraph<'g, C>,
+        kind: StageKind,
+        device: &'g Device,
+        resource: Resource,
+        deps: &[StageId],
+    ) -> Vec<StageId> {
+        if self.shared.is_some() {
+            return deps.to_vec();
+        }
+        let (alpha, config) = (self.planned.alpha, &self.planned.config);
+        vec![graph.add(kind, resource, deps, move |_| {
+            let built =
+                build_delegate_vector(device, self.data, alpha, config.beta, config.construction);
+            let outcome = StageOutcome {
+                stats: built.stats,
+                time_ms: built.time_ms,
+            };
+            self.lock().built = Some(built);
+            outcome
+        })]
+    }
+
+    /// The vector the chain selects over: the shared one, else the chain's
+    /// own. A shared vector is asserted against the plan: built at the
+    /// plan's α over an input of this length, with a β `beta_fits` accepts.
+    pub(crate) fn delegates<'s>(
+        &'s self,
+        state: &'s ChainState<K>,
+        beta_fits: impl Fn(usize) -> bool,
+    ) -> &'s DelegateVector<K> {
+        let Some(shared) = self.shared else {
+            return state.built.as_ref().expect("the chain's own pass ran");
+        };
+        let shared = shared.get();
+        assert_eq!(
+            shared.subrange_size,
+            1usize << self.planned.alpha,
+            "shared delegate vector was built with a different alpha"
+        );
+        assert!(
+            beta_fits(shared.beta),
+            "shared delegate vector's beta {} does not fit the plan's {}",
+            shared.beta,
+            self.planned.config.beta
+        );
+        assert_eq!(
+            shared.num_subranges,
+            self.data.len().div_ceil(shared.subrange_size),
+            "shared delegate vector does not cover this input"
+        );
+        shared
+    }
+
+    /// The chain's result after its graph executed. Modeled time, breakdown
+    /// and counters are read off the chain's own stages of `report`; the
+    /// result's `stages` report is left
+    /// empty — a runner that executed the chain alone attaches its report.
+    pub fn into_result(self, report: &StageReport) -> DrTopKResult<K> {
+        let state = self
+            .state
+            .into_inner()
+            .expect("a chain stage panicked while holding its buffers");
+        let (time_ms, breakdown, stats) = report.range_totals(state.stages);
+        DrTopKResult {
+            values: state.values,
+            kth_value: state.kth_value,
+            alpha: state.alpha,
+            breakdown,
+            workload: state.workload,
+            stats,
+            time_ms,
+            stages: StageReport::default(),
+        }
+    }
+}
+
+/// The exact chain's phase 4 (Section 4.4), shared with the row-block
+/// graph: the inner algorithm over the concatenated vector — or nothing,
+/// when no subrange was fully taken and the taken delegates alone already
+/// answer the query exactly (Figure 8b). Returns the selection (zero cost
+/// when skipped) and whether the skip rule fired.
+pub(crate) fn second_topk<K: TopKKey>(
     device: &Device,
-    data: &[K],
+    inner: InnerAlgorithm,
+    first: &FirstTopK<K>,
+    concatenated: &Concatenated<K>,
     k: usize,
-    config: &DrTopKConfig,
-) -> DrTopKResult<K> {
-    let planned = PlannedQuery::plan(data.len(), k, config);
-    dr_topk_planned(device, data, None, &planned)
+) -> (TopKResult<K>, bool) {
+    let skipped = first.fully_taken_subranges.is_empty()
+        && first.exact_threshold
+        && concatenated.elements.len() == k;
+    if !skipped {
+        return (inner.run(device, &concatenated.elements, k), false);
+    }
+    let mut values = concatenated.elements.clone();
+    values.sort_unstable_by_key(|v| Reverse(v.to_bits()));
+    let kth_value = values.last().copied().unwrap_or_default();
+    let result = TopKResult {
+        values,
+        kth_value,
+        stats: KernelStats::default(),
+        time_ms: 0.0,
+    };
+    (result, true)
 }
 
 /// Execute a [`PlannedQuery`] on `data`, optionally against a shared,
-/// already-built delegate vector.
+/// already-built delegate vector: one [`QueryChain`] on a graph of its own,
+/// on the device's compute queue.
 ///
 /// When `shared_delegates` is `Some`, phase 1 (delegate construction) is
 /// skipped entirely: the query charges **zero** delegate time and delegate
@@ -497,269 +865,19 @@ pub fn dr_topk_planned<K: TopKKey>(
     shared_delegates: Option<&DelegateVector<K>>,
     planned: &PlannedQuery,
 ) -> DrTopKResult<K> {
-    let config = &planned.config;
-    let k = planned.k.min(data.len());
-    if k == 0 || data.is_empty() {
-        return DrTopKResult {
-            values: Vec::new(),
-            kth_value: K::default(),
-            alpha: 0,
-            breakdown: PhaseBreakdown::default(),
-            workload: WorkloadStats::default(),
-            stats: KernelStats::default(),
-            time_ms: 0.0,
-            stages: StageReport::default(),
-        };
-    }
-    assert!(config.beta >= 1, "beta must be at least 1");
-    let alpha = planned.alpha;
-
-    if planned.use_delegates && config.mode.strict_target().is_some() {
-        // Recall-targeted approximate path: per-bucket candidates, then the
-        // inner top-k — no first top-k, no concatenation, no refill. The
-        // path hint does not apply here (the bucket machinery has no radix
-        // twin).
-        return dr_topk_approx_planned(device, data, shared_delegates, planned);
-    }
-
-    // Exact-mode path routing: a pinned hint is obeyed, `Auto` defers to
-    // the data-aware modeled crossover on the executing device's profile
-    // (a sampled survival probe keeps duplicate-heavy inputs on the
-    // delegate side; see `choose_path_sampled`). The crossover also covers
-    // plans whose delegate machinery degenerated to one direct inner run —
-    // since the sampled filter made the radix path a single input scan
-    // plus O(k), it can beat even that at large k. A provided shared
-    // delegate vector pins the delegate path — its construction is already
-    // paid for, so escaping to radix would only waste it.
-    if shared_delegates.is_none()
-        && (config.path == PathHint::Radix
-            || config.path.resolve_for(data, k, device.spec()) == ChosenPath::Radix)
-    {
-        return radix_dr_topk(device, data, k, config);
-    }
-
-    if !planned.use_delegates {
-        // Fallback: the inner algorithm runs directly on the input (a
-        // one-stage graph). The workload statistics report the fallback
-        // honestly: no delegate vector, no concatenation, one effective
-        // subrange.
-        let mut graph: StageGraph<'_, Mutex<Option<TopKResult<K>>>> = StageGraph::new();
-        graph.add(StageKind::SecondTopK, Resource::Compute(0), &[], |slot| {
-            let inner = config.inner.run(device, data, k);
-            let outcome = StageOutcome {
-                stats: inner.stats,
-                time_ms: inner.time_ms,
-            };
-            *slot.lock().unwrap() = Some(inner);
-            outcome
-        });
-        let slot = Mutex::new(None);
-        let report = graph.execute(&slot);
-        let inner = slot.into_inner().unwrap().expect("the fallback stage ran");
-        return DrTopKResult {
-            kth_value: inner.kth_value,
-            alpha,
-            breakdown: report.phase_breakdown(),
-            workload: WorkloadStats {
-                input_len: data.len(),
-                delegate_vector_len: 0,
-                concatenated_len: 0,
-                num_subranges: 1,
-                fully_taken_subranges: 0,
-                second_topk_skipped: false,
-                fell_back: true,
-            },
-            stats: report.stats(),
-            time_ms: report.makespan_ms,
-            values: inner.values,
-            stages: report,
-        };
-    }
-
-    if let Some(shared) = shared_delegates {
-        assert_eq!(
-            shared.subrange_size,
-            1usize << alpha,
-            "shared delegate vector was built with a different alpha"
-        );
-        assert_eq!(
-            shared.beta, config.beta,
-            "shared delegate vector was built with a different beta"
-        );
-        assert_eq!(
-            shared.num_subranges,
-            data.len().div_ceil(shared.subrange_size),
-            "shared delegate vector does not cover this input"
-        );
-    }
-
-    // The exact pipeline as a stage graph: one stage per paper phase, all
-    // on this device's compute queue, chained by their buffer dependencies.
-    // Buffers travel through the context (a single mutex: every stage lives
-    // on one compute queue, so the lock is never contended); the executor
-    // owns all timing.
-    struct ExactCtx<K: TopKKey> {
-        built: Option<DelegateVector<K>>,
-        first: Option<FirstTopK<K>>,
-        concatenated: Option<Concatenated<K>>,
-        second_skipped: bool,
-        values: Vec<K>,
-        kth_value: K,
-    }
-    fn delegates_of<'c, K: TopKKey>(
-        ctx: &'c ExactCtx<K>,
-        shared: Option<&'c DelegateVector<K>>,
-    ) -> &'c DelegateVector<K> {
-        shared
-            .or(ctx.built.as_ref())
-            .expect("delegate vector available once phase 1 ran")
-    }
-
-    let mut graph: StageGraph<'_, Mutex<ExactCtx<K>>> = StageGraph::new();
-    let mut deps = Vec::new();
-    // Phase 1: delegate vector construction — the stage exists only when
-    // the caller did not supply a shared vector (a shared pass's one-time
-    // construction cost is accounted by its provider, not per query).
-    if shared_delegates.is_none() {
-        let built_id = graph.add(
-            StageKind::DelegateConstruction,
-            Resource::Compute(0),
-            &[],
-            move |ctx: &Mutex<ExactCtx<K>>| {
-                let built =
-                    build_delegate_vector(device, data, alpha, config.beta, config.construction);
-                let outcome = StageOutcome {
-                    stats: built.stats,
-                    time_ms: built.time_ms,
-                };
-                ctx.lock().unwrap().built = Some(built);
-                outcome
-            },
-        );
-        deps.push(built_id);
-    }
-
-    // Phase 2: first top-k on the delegate vector.
-    let first_id = graph.add(
-        StageKind::FirstTopK,
-        Resource::Compute(0),
-        &deps,
-        move |ctx: &Mutex<ExactCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let first = first_topk(
-                device,
-                delegates_of(&guard, shared_delegates),
-                k,
-                config.resolve_skip_last(),
-            );
-            let outcome = StageOutcome {
-                stats: first.stats,
-                time_ms: first.time_ms,
-            };
-            guard.first = Some(first);
-            outcome
-        },
-    );
-
-    // Phase 3: concatenation (Rule 1/3 subrange selection + Rule 2 filter).
-    let concat_id = graph.add(
-        StageKind::Concatenate,
-        Resource::Compute(0),
-        &[first_id],
-        move |ctx: &Mutex<ExactCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let subrange_size = delegates_of(&guard, shared_delegates).subrange_size;
-            let first = guard.first.as_ref().expect("first top-k ran");
-            let concatenated = concatenate(
-                device,
-                data,
-                subrange_size,
-                &first.fully_taken_subranges,
-                &first.partial_delegate_values,
-                first.threshold,
-                config.filtering,
-            );
-            let outcome = StageOutcome {
-                stats: concatenated.stats,
-                time_ms: concatenated.time_ms,
-            };
-            guard.concatenated = Some(concatenated);
-            outcome
-        },
-    );
-
-    // Phase 4: second top-k on the concatenated vector — a zero-cost
-    // stage when no subrange was fully taken and the taken delegates alone
-    // already answer the query exactly (Figure 8b).
-    graph.add(
-        StageKind::SecondTopK,
-        Resource::Compute(0),
-        &[concat_id],
-        move |ctx: &Mutex<ExactCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let ctx = &mut *guard;
-            let first = ctx.first.as_ref().expect("first top-k ran");
-            let concatenated = ctx.concatenated.as_ref().expect("concatenation ran");
-            ctx.second_skipped = first.fully_taken_subranges.is_empty()
-                && first.exact_threshold
-                && concatenated.elements.len() == k;
-            if ctx.second_skipped {
-                let mut vals = concatenated.elements.clone();
-                vals.sort_unstable_by_key(|v| Reverse(v.to_bits()));
-                ctx.kth_value = vals.last().copied().unwrap_or_default();
-                ctx.values = vals;
-                StageOutcome::default()
-            } else {
-                let inner = config.inner.run(device, &concatenated.elements, k);
-                let outcome = StageOutcome {
-                    stats: inner.stats,
-                    time_ms: inner.time_ms,
-                };
-                ctx.values = inner.values;
-                ctx.kth_value = inner.kth_value;
-                outcome
-            }
-        },
-    );
-
-    let ctx = Mutex::new(ExactCtx {
-        built: None,
-        first: None,
-        concatenated: None,
-        second_skipped: false,
-        values: Vec::new(),
-        kth_value: K::default(),
-    });
-    let report = graph.execute(&ctx);
-    let mut ctx = ctx.into_inner().unwrap();
-
-    let delegates = delegates_of(&ctx, shared_delegates);
-    let first = ctx.first.as_ref().expect("first top-k ran");
-    let concatenated = ctx.concatenated.as_ref().expect("concatenation ran");
-    let workload = WorkloadStats {
-        input_len: data.len(),
-        delegate_vector_len: delegates.len(),
-        concatenated_len: concatenated.elements.len(),
-        num_subranges: delegates.num_subranges,
-        fully_taken_subranges: first.fully_taken_subranges.len(),
-        second_topk_skipped: ctx.second_skipped,
-        fell_back: false,
-    };
-
+    let chain = QueryChain::new(data, planned, shared_delegates.map(SharedDelegates::Built));
+    let mut graph = StageGraph::new();
+    chain.append(&mut graph, device, Resource::Compute(0), &[]);
+    let report = graph.execute(&());
+    let result = chain.into_result(&report);
     DrTopKResult {
-        values: std::mem::take(&mut ctx.values),
-        kth_value: ctx.kth_value,
-        alpha,
-        time_ms: report.makespan_ms,
-        breakdown: report.phase_breakdown(),
-        workload,
-        stats: report.stats(),
         stages: report,
+        ..result
     }
 }
 
-/// Convenience wrapper around [`dr_topk_with_stats`] (same result type; the
-/// name mirrors the two-function API described in the README quickstart).
+/// Run Dr. Top-k on `data`: [`PlannedQuery::plan`] followed by
+/// [`dr_topk_planned`], returning the full result with breakdowns.
 ///
 /// ```
 /// use drtopk_core::{dr_topk, DrTopKConfig};
@@ -777,7 +895,8 @@ pub fn dr_topk<K: TopKKey>(
     k: usize,
     config: &DrTopKConfig,
 ) -> DrTopKResult<K> {
-    dr_topk_with_stats(device, data, k, config)
+    let planned = PlannedQuery::plan(data.len(), k, config);
+    dr_topk_planned(device, data, None, &planned)
 }
 
 /// Recall-targeted approximate top-k: the same signature as [`dr_topk`]
@@ -820,7 +939,7 @@ pub fn dr_topk_approx<K: TopKKey>(
         },
         ..config.clone()
     };
-    dr_topk_with_stats(device, data, k, &cfg)
+    dr_topk(device, data, k, &cfg)
 }
 
 /// Top-k **smallest**: the k minimum elements of `data`, ascending
@@ -854,7 +973,7 @@ pub fn dr_topk_min<K: TopKKey>(
     k: usize,
     config: &DrTopKConfig,
 ) -> DrTopKResult<K> {
-    dr_topk_with_stats(device, as_desc(data), k, config).into_native()
+    dr_topk(device, as_desc(data), k, config).into_native()
 }
 
 /// Reinterpret a key slice through the order-reversing [`Desc`] adapter,
@@ -1167,7 +1286,7 @@ mod tests {
 
     #[test]
     fn planned_query_splits_dr_topk_exactly() {
-        // dr_topk_with_stats == plan + execute: same values, same breakdown,
+        // dr_topk == plan + execute: same values, same breakdown,
         // same counters — the seam adds nothing and loses nothing.
         let dev = device();
         let data = topk_datagen::uniform(1 << 15, 17);
@@ -1175,7 +1294,7 @@ mod tests {
             let cfg = DrTopKConfig::default();
             let planned = PlannedQuery::plan(data.len(), k, &cfg);
             let via_seam = dr_topk_planned(&dev, &data, None, &planned);
-            let direct = dr_topk_with_stats(&dev, &data, k, &cfg);
+            let direct = dr_topk(&dev, &data, k, &cfg);
             assert_eq!(via_seam.values, direct.values, "k={k}");
             assert_eq!(via_seam.alpha, direct.alpha);
             assert_eq!(via_seam.stats, direct.stats);
@@ -1221,7 +1340,7 @@ mod tests {
             // but the first-top-k workload is still reported
             assert_eq!(shared.workload.delegate_vector_len, delegates.len());
             // and the query's own counters exclude the |V|-scan construction
-            let independent = dr_topk_with_stats(&dev, &data, k, &group.config);
+            let independent = dr_topk(&dev, &data, k, &group.config);
             assert_eq!(shared.values, independent.values);
             assert!(
                 shared.stats.global_loaded_bytes < independent.stats.global_loaded_bytes,

@@ -49,19 +49,13 @@
 //! bit-identical to the delegate pipeline and to
 //! [`topk_baselines::reference_topk`].
 
-// Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
-// like the exact pipeline, the radix path's stage-graph context keeps its
-// pass state in a mutex slot, as the executor's `&C` sharing rule requires.
-#![allow(clippy::disallowed_types)]
-
 use std::cmp::Reverse;
-use std::sync::Mutex;
 
 use gpu_sim::{AtomicBuffer, AtomicCounter, Device};
 use topk_baselines::{KeyBits, TopKKey};
 
-use crate::pipeline::{DrTopKConfig, DrTopKResult, PhaseBreakdown, WorkloadStats};
-use crate::stages::{Resource, StageGraph, StageKind, StageOutcome};
+use crate::pipeline::{QueryChain, WorkloadStats};
+use crate::stages::{Resource, StageGraph, StageId, StageKind, StageOutcome};
 
 /// Bits consumed per digit pass (8 matches the paper's radix baselines:
 /// "8-bit per digit yields the optimal performance").
@@ -92,12 +86,13 @@ pub(crate) const MIN_SAMPLE_TARGET: usize = 8;
 /// duplicate-heavy adversarial case).
 pub(crate) const FILTER_BAILOUT_DIV: usize = 4;
 
-/// Per-run selection state threaded through the stage closures.
-struct RadixCtx<K: TopKKey> {
+/// Per-run selection state threaded through the stage closures (held in
+/// the query chain's slot).
+pub(crate) struct RadixState<K: TopKKey> {
     /// Surviving candidates in radix space (starts as the full input).
     candidates: Vec<K::Bits>,
     /// The first pass's speculative filter output: every element whose top
-    /// digit is at or above [`RadixCtx::filter_cutoff`]. `None` when the
+    /// digit is at or above [`RadixState::filter_cutoff`]. `None` when the
     /// filter was disabled (sample predicted poor selectivity) or already
     /// consumed.
     filtered: Option<Vec<K::Bits>>,
@@ -121,13 +116,24 @@ struct RadixCtx<K: TopKKey> {
     above: Vec<K::Bits>,
     /// The final k candidates assembled by the gather stage.
     assembled: Vec<K>,
-    /// The selected values, descending.
-    values: Vec<K>,
-    /// The k-th value (the selection threshold).
-    kth_value: K,
 }
 
-impl<K: TopKKey> RadixCtx<K> {
+impl<K: TopKKey> RadixState<K> {
+    fn new(data: &[K], k: usize) -> Self {
+        RadixState {
+            candidates: data.iter().map(|x| x.to_bits()).collect(),
+            filtered: None,
+            filter_cutoff: 0,
+            histogram: Vec::new(),
+            prefix_value: K::Bits::ZERO,
+            prefix_mask: K::Bits::ZERO,
+            k_remaining: k,
+            pinned: false,
+            above: Vec::new(),
+            assembled: Vec::new(),
+        }
+    }
+
     /// The k-th value once every pass ran: all survivors share the full
     /// prefix, so any of them (or the prefix itself) is the threshold.
     fn threshold(&self) -> K {
@@ -138,347 +144,347 @@ impl<K: TopKKey> RadixCtx<K> {
     }
 }
 
-/// Run the staged radix-select pipeline: the exact top-k of `data`, with
-/// the same result shape as the delegate pipeline.
-///
-/// Requires `1 ≤ k` and a non-empty input (the caller's `k = 0` /
-/// empty-input early return, shared with the delegate path, handles the
-/// degenerate shapes); `k` is clamped to the input length. The reported
-/// `alpha` is 0 — the radix path has no subrange parameter — and the
-/// workload statistics report the gathered candidate count as the
-/// second-stage workload.
-pub(crate) fn radix_dr_topk<K: TopKKey>(
-    device: &Device,
-    data: &[K],
-    k: usize,
-    config: &DrTopKConfig,
-) -> DrTopKResult<K> {
-    let k = k.min(data.len());
-    assert!(
-        k >= 1 && !data.is_empty(),
-        "degenerate shapes handled upstream"
-    );
+impl<K: TopKKey> QueryChain<'_, K> {
+    /// The staged radix-select chain: the exact top-k of the input, with
+    /// the same result shape as the delegate chains.
+    ///
+    /// Requires `1 ≤ k` and a non-empty input (the routing in
+    /// [`QueryChain::append`] answers the degenerate shapes without
+    /// stages); `k` is clamped to the input length. The reported `alpha`
+    /// is 0 — the radix path has no subrange parameter — and the workload
+    /// statistics report the gathered candidate count as the second-stage
+    /// workload.
+    pub(crate) fn append_radix<'g, C>(
+        &'g self,
+        graph: &mut StageGraph<'g, C>,
+        device: &'g Device,
+        resource: Resource,
+        deps: &[StageId],
+    ) -> StageId {
+        let data = self.data;
+        let config = &self.planned.config;
+        let k = self.planned.k.min(data.len());
+        assert!(
+            k >= 1 && !data.is_empty(),
+            "degenerate shapes handled upstream"
+        );
+        {
+            let mut state = self.lock();
+            state.alpha = 0;
+            state.workload = WorkloadStats {
+                input_len: data.len(),
+                concatenated_len: k,
+                num_subranges: 1,
+                ..WorkloadStats::default()
+            };
+            state.radix = Some(RadixState::new(data, k));
+        }
 
-    let digits = 1usize << BITS_PER_PASS;
-    let digit_mask = K::Bits::from_u64(digits as u64 - 1);
-    let passes = K::Bits::BITS.div_ceil(BITS_PER_PASS);
+        let digits = 1usize << BITS_PER_PASS;
+        let digit_mask = K::Bits::from_u64(digits as u64 - 1);
+        let passes = K::Bits::BITS.div_ceil(BITS_PER_PASS);
 
-    let mut graph: StageGraph<'_, Mutex<RadixCtx<K>>> = StageGraph::new();
-    let mut prev_refine = None;
-    for pass in 0..passes {
-        let shift = K::Bits::BITS - BITS_PER_PASS * (pass + 1);
-        let deps: Vec<_> = prev_refine.into_iter().collect();
-        let hist_id = graph.add_labeled(
-            StageKind::RadixHistogram,
-            format!("radix_histogram_pass{pass}"),
-            Resource::Compute(0),
-            &deps,
-            move |ctx: &Mutex<RadixCtx<K>>| {
-                let mut guard = ctx.lock().unwrap();
-                if guard.pinned {
-                    return StageOutcome::default();
-                }
-                let scan = std::mem::take(&mut guard.candidates);
-                let prefix_value = guard.prefix_value;
-                let prefix_mask = guard.prefix_mask;
-                drop(guard);
+        let mut prev_refine = None;
+        for pass in 0..passes {
+            let shift = K::Bits::BITS - BITS_PER_PASS * (pass + 1);
+            let deps: Vec<StageId> = match prev_refine {
+                Some(refine) => vec![refine],
+                None => deps.to_vec(),
+            };
+            let hist_id = graph.add_labeled(
+                StageKind::RadixHistogram,
+                format!("radix_histogram_pass{pass}"),
+                resource,
+                &deps,
+                move |_| {
+                    let mut chain = self.lock();
+                    let radix = chain.radix.as_mut().expect("radix state armed at append");
+                    if radix.pinned {
+                        return StageOutcome::default();
+                    }
+                    let scan = std::mem::take(&mut radix.candidates);
+                    let prefix_value = radix.prefix_value;
+                    let prefix_mask = radix.prefix_mask;
+                    drop(chain);
 
-                // First pass only: a deterministic strided sample picks the
-                // speculative filter cutoff that the main scan fuses in.
-                let mut probe_stats = gpu_sim::KernelStats::default();
-                let mut probe_ms = 0.0;
-                let mut cutoff: Option<usize> = None;
-                // The filter needs a sample big enough for the cutoff
-                // target to be meaningful; tiny inputs skip it outright.
-                if pass == 0 && scan.len() >= 2 * MIN_SAMPLE_TARGET {
-                    let sample_n = scan.len().min(SAMPLE_SIZE);
-                    let stride = scan.len() / sample_n;
-                    let probe = device.launch("radix_sample_probe", 1, |kctx| {
-                        let mut hist = vec![0u32; digits];
-                        for i in 0..sample_n {
-                            let x = kctx.read_random(&scan, i * stride);
-                            hist[((x >> shift) & digit_mask).as_digit()] += 1;
-                            kctx.record_alu(2);
+                    // First pass only: a deterministic strided sample picks the
+                    // speculative filter cutoff that the main scan fuses in.
+                    let mut probe_stats = gpu_sim::KernelStats::default();
+                    let mut probe_ms = 0.0;
+                    let mut cutoff: Option<usize> = None;
+                    // The filter needs a sample big enough for the cutoff
+                    // target to be meaningful; tiny inputs skip it outright.
+                    if pass == 0 && scan.len() >= 2 * MIN_SAMPLE_TARGET {
+                        let sample_n = scan.len().min(SAMPLE_SIZE);
+                        let stride = scan.len() / sample_n;
+                        let probe = device.launch("radix_sample_probe", 1, |kctx| {
+                            let mut hist = vec![0u32; digits];
+                            for i in 0..sample_n {
+                                let x = kctx.read_random(&scan, i * stride);
+                                hist[((x >> shift) & digit_mask).as_digit()] += 1;
+                                kctx.record_alu(2);
+                            }
+                            hist
+                        });
+                        let sample_hist = &probe.output[0];
+                        probe_stats = probe.stats;
+                        probe_ms = probe.time_ms;
+                        // Smallest digit whose above-or-equal sample mass covers
+                        // the target: `FILTER_HEADROOM ×` the sample's expected
+                        // share of the top k, floored for tiny k.
+                        let target = (FILTER_HEADROOM * sample_n * k / scan.len())
+                            .clamp(MIN_SAMPLE_TARGET, sample_n / 2);
+                        let mut cum = 0usize;
+                        let mut cut = 0usize;
+                        for d in (0..digits).rev() {
+                            cum += sample_hist[d] as usize;
+                            if cum >= target {
+                                cut = d;
+                                break;
+                            }
                         }
-                        hist
-                    });
-                    let sample_hist = &probe.output[0];
-                    probe_stats = probe.stats;
-                    probe_ms = probe.time_ms;
-                    // Smallest digit whose above-or-equal sample mass covers
-                    // the target: `FILTER_HEADROOM ×` the sample's expected
-                    // share of the top k, floored for tiny k.
-                    let target = (FILTER_HEADROOM * sample_n * k / scan.len())
-                        .clamp(MIN_SAMPLE_TARGET, sample_n / 2);
-                    let mut cum = 0usize;
-                    let mut cut = 0usize;
+                        // Predicted kept fraction; bail out when the filter
+                        // would keep most of the input (duplicate-heavy data).
+                        let predicted = scan.len() * cum / sample_n;
+                        if predicted <= scan.len() / FILTER_BAILOUT_DIV {
+                            cutoff = Some(cut);
+                        }
+                    }
+
+                    let num_warps = scan.len().div_ceil(ELEMS_PER_WARP);
+                    let hist_buf = AtomicBuffer::zeroed(digits);
+                    let cursor = AtomicCounter::new(0);
+                    let launch =
+                        device.launch(&format!("radix_histogram_pass{pass}"), num_warps, |kctx| {
+                            let chunk = kctx.chunk_of(scan.len());
+                            let slice = kctx.read_coalesced(&scan[chunk]);
+                            let mut local = vec![0u32; digits];
+                            let mut kept: Vec<K::Bits> = Vec::new();
+                            for &x in slice {
+                                if x & prefix_mask == prefix_value {
+                                    let d = ((x >> shift) & digit_mask).as_digit();
+                                    local[d] += 1;
+                                    if cutoff.is_some_and(|c| d >= c) {
+                                        kept.push(x);
+                                    }
+                                }
+                                kctx.record_alu(2);
+                            }
+                            // flush the warp-local histogram with one atomicAdd
+                            // per non-empty bucket (block-level flush)
+                            for (d, &c) in local.iter().enumerate() {
+                                if c > 0 {
+                                    hist_buf.fetch_add(kctx, d, c);
+                                }
+                            }
+                            if !kept.is_empty() {
+                                // warp-aggregated position allocation followed
+                                // by a coalesced store of the filtered elements
+                                cursor.fetch_add(kctx, kept.len() as u64);
+                                kctx.record_store_coalesced::<K::Bits>(kept.len());
+                            }
+                            kept
+                        });
+                    let mut chain = self.lock();
+                    let radix = chain.radix.as_mut().expect("radix state armed at append");
+                    radix.candidates = scan;
+                    radix.histogram = hist_buf.to_vec();
+                    if let Some(cut) = cutoff {
+                        radix.filter_cutoff = cut;
+                        radix.filtered = Some(launch.output.into_iter().flatten().collect());
+                    }
+                    StageOutcome {
+                        stats: probe_stats + launch.stats,
+                        time_ms: probe_ms + launch.time_ms,
+                    }
+                },
+            );
+            let refine_id = graph.add_labeled(
+                StageKind::RadixRefine,
+                format!("radix_refine_pass{pass}"),
+                resource,
+                &[hist_id],
+                move |_| {
+                    let mut chain = self.lock();
+                    let radix = chain.radix.as_mut().expect("radix state armed at append");
+                    if radix.pinned {
+                        return StageOutcome::default();
+                    }
+                    // locate the digit that holds the k-th largest
+                    let mut chosen = 0usize;
+                    let mut above_count = 0usize;
                     for d in (0..digits).rev() {
-                        cum += sample_hist[d] as usize;
-                        if cum >= target {
-                            cut = d;
+                        let count = radix.histogram[d] as usize;
+                        if above_count + count >= radix.k_remaining {
+                            chosen = d;
                             break;
                         }
+                        above_count += count;
                     }
-                    // Predicted kept fraction; bail out when the filter
-                    // would keep most of the input (duplicate-heavy data).
-                    let predicted = scan.len() * cum / sample_n;
-                    if predicted <= scan.len() / FILTER_BAILOUT_DIV {
-                        cutoff = Some(cut);
+                    radix.k_remaining -= above_count;
+                    // The digit prefix *before* this pass: the kernel keys off
+                    // the raw digit, so elements above the chosen one can be
+                    // collected (they are in the final top-k for certain).
+                    let prev_value = radix.prefix_value;
+                    let prev_mask = radix.prefix_mask;
+                    radix.prefix_value |= K::Bits::from_u64(chosen as u64) << shift;
+                    radix.prefix_mask |= digit_mask << shift;
+                    // Scan the speculative filter output when it provably kept
+                    // the chosen digit (cutoff ≤ chosen); otherwise fall back
+                    // to the full candidate set.
+                    let scan = match radix.filtered.take() {
+                        Some(f) if radix.filter_cutoff <= chosen => {
+                            radix.candidates = Vec::new();
+                            f
+                        }
+                        _ => std::mem::take(&mut radix.candidates),
+                    };
+                    drop(chain);
+                    let num_warps = scan.len().div_ceil(ELEMS_PER_WARP);
+                    let cursor = AtomicCounter::new(0);
+                    let launch =
+                        device.launch(&format!("radix_refine_pass{pass}"), num_warps, |kctx| {
+                            let chunk = kctx.chunk_of(scan.len());
+                            let slice = kctx.read_coalesced(&scan[chunk]);
+                            let mut survivors: Vec<K::Bits> = Vec::new();
+                            let mut above: Vec<K::Bits> = Vec::new();
+                            for &x in slice {
+                                if x & prev_mask == prev_value {
+                                    let d = ((x >> shift) & digit_mask).as_digit();
+                                    if d > chosen {
+                                        above.push(x);
+                                    } else if d == chosen {
+                                        survivors.push(x);
+                                    }
+                                }
+                                kctx.record_alu(2);
+                            }
+                            let stored = survivors.len() + above.len();
+                            if stored > 0 {
+                                // warp-aggregated position allocation followed
+                                // by a coalesced store of both partitions
+                                cursor.fetch_add(kctx, stored as u64);
+                                kctx.record_store_coalesced::<K::Bits>(stored);
+                            }
+                            (survivors, above)
+                        });
+                    let mut chain = self.lock();
+                    let radix = chain.radix.as_mut().expect("radix state armed at append");
+                    let mut collected_above = 0usize;
+                    let mut survivors = Vec::new();
+                    for (s, a) in launch.output {
+                        collected_above += a.len();
+                        radix.above.extend(a);
+                        survivors.extend(s);
                     }
-                }
+                    debug_assert_eq!(
+                        collected_above, above_count,
+                        "refine pass {pass}: collected above-set disagrees with \
+                         the exact histogram"
+                    );
+                    radix.candidates = survivors;
+                    if radix.candidates.len() <= 1 {
+                        // the k-th value is pinned down early: the remaining
+                        // passes have nothing left to narrow
+                        radix.pinned = true;
+                    }
+                    StageOutcome {
+                        stats: launch.stats,
+                        time_ms: launch.time_ms,
+                    }
+                },
+            );
+            prev_refine = Some(refine_id);
+        }
 
-                let num_warps = scan.len().div_ceil(ELEMS_PER_WARP);
-                let hist_buf = AtomicBuffer::zeroed(digits);
-                let cursor = AtomicCounter::new(0);
-                let launch =
-                    device.launch(&format!("radix_histogram_pass{pass}"), num_warps, |kctx| {
-                        let chunk = kctx.chunk_of(scan.len());
-                        let slice = kctx.read_coalesced(&scan[chunk]);
-                        let mut local = vec![0u32; digits];
-                        let mut kept: Vec<K::Bits> = Vec::new();
-                        for &x in slice {
-                            if x & prefix_mask == prefix_value {
-                                let d = ((x >> shift) & digit_mask).as_digit();
-                                local[d] += 1;
-                                if cutoff.is_some_and(|c| d >= c) {
-                                    kept.push(x);
-                                }
-                            }
-                            kctx.record_alu(2);
-                        }
-                        // flush the warp-local histogram with one atomicAdd
-                        // per non-empty bucket (block-level flush)
-                        for (d, &c) in local.iter().enumerate() {
-                            if c > 0 {
-                                hist_buf.fetch_add(kctx, d, c);
-                            }
-                        }
-                        if !kept.is_empty() {
-                            // warp-aggregated position allocation followed
-                            // by a coalesced store of the filtered elements
-                            cursor.fetch_add(kctx, kept.len() as u64);
-                            kctx.record_store_coalesced::<K::Bits>(kept.len());
-                        }
-                        kept
-                    });
-                let mut guard = ctx.lock().unwrap();
-                guard.candidates = scan;
-                guard.histogram = hist_buf.to_vec();
-                if let Some(cut) = cutoff {
-                    guard.filter_cutoff = cut;
-                    guard.filtered = Some(launch.output.into_iter().flatten().collect());
-                }
-                StageOutcome {
-                    stats: probe_stats + launch.stats,
-                    time_ms: probe_ms + launch.time_ms,
-                }
-            },
-        );
-        let refine_id = graph.add_labeled(
-            StageKind::RadixRefine,
-            format!("radix_refine_pass{pass}"),
-            Resource::Compute(0),
-            &[hist_id],
-            move |ctx: &Mutex<RadixCtx<K>>| {
-                let mut guard = ctx.lock().unwrap();
-                if guard.pinned {
-                    return StageOutcome::default();
-                }
-                // locate the digit that holds the k-th largest
-                let mut chosen = 0usize;
-                let mut above_count = 0usize;
-                for d in (0..digits).rev() {
-                    let count = guard.histogram[d] as usize;
-                    if above_count + count >= guard.k_remaining {
-                        chosen = d;
-                        break;
+        // Candidate assembly: the refine passes already collected every
+        // element above the k-th value, so the final candidate set is that
+        // above-set refilled with copies of the k-th value for its ties —
+        // `O(k)` data movement, no input re-scan.
+        let gather_id = graph.add(
+            StageKind::CandidateGather,
+            resource,
+            &[prev_refine.expect("at least one digit pass")],
+            move |_| {
+                let mut chain = self.lock();
+                let radix = chain.radix.as_mut().expect("radix state armed at append");
+                let threshold = radix.threshold();
+                let above = std::mem::take(&mut radix.above);
+                drop(chain);
+                debug_assert!(above.len() <= k.saturating_sub(1) || above.is_empty());
+                let num_warps = k.div_ceil(ELEMS_PER_WARP).max(1);
+                let launch = device.launch("candidate_gather", num_warps, |kctx| {
+                    let chunk = kctx.chunk_of(k);
+                    let reads = chunk.start.min(above.len())..chunk.end.min(above.len());
+                    kctx.record_load_coalesced::<K::Bits>(reads.len());
+                    let mut out: Vec<K> = Vec::with_capacity(chunk.len());
+                    for i in chunk.clone() {
+                        out.push(if i < above.len() {
+                            K::from_bits(above[i])
+                        } else {
+                            threshold
+                        });
+                        kctx.record_alu(1);
                     }
-                    above_count += count;
-                }
-                guard.k_remaining -= above_count;
-                // The digit prefix *before* this pass: the kernel keys off
-                // the raw digit, so elements above the chosen one can be
-                // collected (they are in the final top-k for certain).
-                let prev_value = guard.prefix_value;
-                let prev_mask = guard.prefix_mask;
-                guard.prefix_value |= K::Bits::from_u64(chosen as u64) << shift;
-                guard.prefix_mask |= digit_mask << shift;
-                // Scan the speculative filter output when it provably kept
-                // the chosen digit (cutoff ≤ chosen); otherwise fall back
-                // to the full candidate set.
-                let scan = match guard.filtered.take() {
-                    Some(f) if guard.filter_cutoff <= chosen => {
-                        guard.candidates = Vec::new();
-                        f
-                    }
-                    _ => std::mem::take(&mut guard.candidates),
-                };
-                drop(guard);
-                let num_warps = scan.len().div_ceil(ELEMS_PER_WARP);
-                let cursor = AtomicCounter::new(0);
-                let launch =
-                    device.launch(&format!("radix_refine_pass{pass}"), num_warps, |kctx| {
-                        let chunk = kctx.chunk_of(scan.len());
-                        let slice = kctx.read_coalesced(&scan[chunk]);
-                        let mut survivors: Vec<K::Bits> = Vec::new();
-                        let mut above: Vec<K::Bits> = Vec::new();
-                        for &x in slice {
-                            if x & prev_mask == prev_value {
-                                let d = ((x >> shift) & digit_mask).as_digit();
-                                if d > chosen {
-                                    above.push(x);
-                                } else if d == chosen {
-                                    survivors.push(x);
-                                }
-                            }
-                            kctx.record_alu(2);
-                        }
-                        let stored = survivors.len() + above.len();
-                        if stored > 0 {
-                            // warp-aggregated position allocation followed
-                            // by a coalesced store of both partitions
-                            cursor.fetch_add(kctx, stored as u64);
-                            kctx.record_store_coalesced::<K::Bits>(stored);
-                        }
-                        (survivors, above)
-                    });
-                let mut guard = ctx.lock().unwrap();
-                let mut collected_above = 0usize;
-                let mut survivors = Vec::new();
-                for (s, a) in launch.output {
-                    collected_above += a.len();
-                    guard.above.extend(a);
-                    survivors.extend(s);
-                }
-                debug_assert_eq!(
-                    collected_above, above_count,
-                    "refine pass {pass}: collected above-set disagrees with \
-                     the exact histogram"
-                );
-                guard.candidates = survivors;
-                if guard.candidates.len() <= 1 {
-                    // the k-th value is pinned down early: the remaining
-                    // passes have nothing left to narrow
-                    guard.pinned = true;
-                }
+                    kctx.record_store_coalesced::<K>(out.len());
+                    out
+                });
+                let mut chain = self.lock();
+                let radix = chain.radix.as_mut().expect("radix state armed at append");
+                radix.assembled = launch.output.into_iter().flatten().collect();
+                debug_assert_eq!(radix.assembled.len(), k);
                 StageOutcome {
                     stats: launch.stats,
                     time_ms: launch.time_ms,
                 }
             },
         );
-        prev_refine = Some(refine_id);
-    }
 
-    // Candidate assembly: the refine passes already collected every
-    // element above the k-th value, so the final candidate set is that
-    // above-set refilled with copies of the k-th value for its ties —
-    // `O(k)` data movement, no input re-scan.
-    let gather_id = graph.add(
-        StageKind::CandidateGather,
-        Resource::Compute(0),
-        &[prev_refine.expect("at least one digit pass")],
-        move |ctx: &Mutex<RadixCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let threshold = guard.threshold();
-            let above = std::mem::take(&mut guard.above);
-            drop(guard);
-            debug_assert!(above.len() <= k.saturating_sub(1) || above.is_empty());
-            let num_warps = k.div_ceil(ELEMS_PER_WARP).max(1);
-            let launch = device.launch("candidate_gather", num_warps, |kctx| {
-                let chunk = kctx.chunk_of(k);
-                let reads = chunk.start.min(above.len())..chunk.end.min(above.len());
-                kctx.record_load_coalesced::<K::Bits>(reads.len());
-                let mut out: Vec<K> = Vec::with_capacity(chunk.len());
-                for i in chunk.clone() {
-                    out.push(if i < above.len() {
-                        K::from_bits(above[i])
-                    } else {
-                        threshold
-                    });
-                    kctx.record_alu(1);
-                }
-                kctx.record_store_coalesced::<K>(out.len());
-                out
-            });
-            let mut guard = ctx.lock().unwrap();
-            guard.assembled = launch.output.into_iter().flatten().collect();
-            debug_assert_eq!(guard.assembled.len(), k);
-            StageOutcome {
-                stats: launch.stats,
-                time_ms: launch.time_ms,
-            }
-        },
-    );
-
-    // Final ordering: let the configured inner algorithm order the
-    // assembled candidates (a small top-k over exactly k elements).
-    graph.add(
-        StageKind::RadixSelect,
-        Resource::Compute(0),
-        &[gather_id],
-        move |ctx: &Mutex<RadixCtx<K>>| {
-            let mut guard = ctx.lock().unwrap();
-            let threshold = guard.threshold();
-            let candidates = std::mem::take(&mut guard.assembled);
-            drop(guard);
+        // Final ordering: let the configured inner algorithm order the
+        // assembled candidates (a small top-k over exactly k elements).
+        graph.add(StageKind::RadixSelect, resource, &[gather_id], move |_| {
+            let mut chain = self.lock();
+            let radix = chain.radix.as_mut().expect("radix state armed at append");
+            let threshold = radix.threshold();
+            let candidates = std::mem::take(&mut radix.assembled);
+            drop(chain);
             let inner = config.inner.run(device, &candidates, k);
             let outcome = StageOutcome {
                 stats: inner.stats,
                 time_ms: inner.time_ms,
             };
-            let mut guard = ctx.lock().unwrap();
             let mut values = inner.values;
             values.sort_unstable_by_key(|v| Reverse(v.to_bits()));
-            guard.kth_value = values.last().copied().unwrap_or(threshold);
-            guard.values = values;
+            let mut chain = self.lock();
+            chain.radix = None;
+            chain.kth_value = values.last().copied().unwrap_or(threshold);
+            chain.values = values;
             outcome
-        },
-    );
-
-    let ctx = Mutex::new(RadixCtx::<K> {
-        candidates: data.iter().map(|x| x.to_bits()).collect(),
-        filtered: None,
-        filter_cutoff: 0,
-        histogram: Vec::new(),
-        prefix_value: K::Bits::ZERO,
-        prefix_mask: K::Bits::ZERO,
-        k_remaining: k,
-        pinned: false,
-        above: Vec::new(),
-        assembled: Vec::new(),
-        values: Vec::new(),
-        kth_value: K::default(),
-    });
-    let report = graph.execute(&ctx);
-    let ctx = ctx.into_inner().unwrap();
-
-    let breakdown: PhaseBreakdown = report.phase_breakdown();
-    DrTopKResult {
-        values: ctx.values,
-        kth_value: ctx.kth_value,
-        alpha: 0,
-        breakdown,
-        workload: WorkloadStats {
-            input_len: data.len(),
-            delegate_vector_len: 0,
-            concatenated_len: k,
-            num_subranges: 1,
-            fully_taken_subranges: 0,
-            second_topk_skipped: false,
-            fell_back: false,
-        },
-        stats: report.stats(),
-        time_ms: report.makespan_ms,
-        stages: report,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{dr_topk, DrTopKConfig, DrTopKResult};
+    use crate::tuning::PathHint;
     use gpu_sim::DeviceSpec;
     use topk_baselines::reference_topk;
+
+    /// The radix chain alone, on a graph of its own.
+    fn radix_dr_topk<K: TopKKey>(
+        device: &Device,
+        data: &[K],
+        k: usize,
+        config: &DrTopKConfig,
+    ) -> DrTopKResult<K> {
+        let radix = DrTopKConfig {
+            path: PathHint::Radix,
+            ..config.clone()
+        };
+        dr_topk(device, data, k, &radix)
+    }
 
     fn device() -> Device {
         Device::with_host_threads(DeviceSpec::v100s(), 4)

@@ -28,21 +28,24 @@
 //! [`dr_topk_min`]: crate::pipeline::dr_topk_min
 
 // Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
-// the row-block stage-graph context keeps its per-block phase buffers in
-// mutex slots, as the executor's `&C` sharing rule requires.
+// a row chain keeps its per-block phase buffers in mutex slots its stage
+// closures borrow, so blocks on different devices never contend.
 #![allow(clippy::disallowed_types)]
 
 use gpu_sim::{Device, GpuCluster, KernelStats};
 use std::cmp::Reverse;
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard};
 use topk_baselines::{Desc, TopKKey, TopKResult};
 
 use crate::concat::{concatenate, Concatenated};
 use crate::delegate::{top_beta_of, DelegateVector};
 use crate::explore::{explore_schedules, Divergence, ExploreBudget, ExploreOutcome};
 use crate::first_topk::{first_topk, FirstTopK};
-use crate::pipeline::{as_desc, DrTopKConfig, PhaseBreakdown, PlannedQuery};
-use crate::stages::{Executor, Resource, StageGraph, StageKind, StageOutcome, StageReport};
+use crate::pipeline::{as_desc, second_topk, DrTopKConfig, PhaseBreakdown, PlannedQuery};
+use crate::stages::{
+    Executor, Resource, StageGraph, StageId, StageKind, StageOutcome, StageReport,
+};
 
 /// A borrowed row-major `rows × cols` matrix.
 ///
@@ -291,334 +294,407 @@ struct BlockState<K: TopKKey> {
     out: Vec<Option<(Vec<K>, K)>>,
 }
 
-/// The row-block stage-graph context: one mutex per block, so blocks on
-/// different devices never contend.
-struct RowsCtx<K: TopKKey> {
-    blocks: Vec<Mutex<BlockState<K>>>,
+impl<K: TopKKey> BlockState<K> {
+    fn new(rows: usize) -> Self {
+        BlockState {
+            pass: (0..rows).map(|_| None).collect(),
+            first: (0..rows).map(|_| None).collect(),
+            concat: (0..rows).map(|_| None).collect(),
+            out: (0..rows).map(|_| None).collect(),
+        }
+    }
 }
 
-/// Build the matrix's stage graph: per block with any work, a fused pass
-/// stage, then (when the block has exact-path rows) first-top-k and
-/// concatenation stages, then always a terminal second-top-k stage.
-/// Returns the graph, its context and the number of fused pass stages.
-fn build_rows_graph<'a, K: TopKKey>(
-    devices: &'a [&'a Device],
+/// A row-matrix query's row-block graph, ready to be appended to a stage
+/// graph the caller owns — the row-matrix counterpart of
+/// [`QueryChain`](crate::pipeline::QueryChain).
+///
+/// The chain is the caller-owned slot its stage closures borrow: the
+/// matrix, every row's plan and every block's buffers (one mutex per
+/// block, so blocks on different devices never contend). The life cycle is
+/// [`RowChain::new`] → [`RowChain::append`] → execute the graph →
+/// [`RowChain::into_result`]; [`topk_rows_on`] is exactly that on a graph
+/// of its own, and the batching engine appends every member of a row unit
+/// to one graph.
+pub struct RowChain<'a, K: TopKKey> {
     matrix: RowMatrix<'a, K>,
-    layout: &'a RowLayout,
-) -> (StageGraph<'a, RowsCtx<K>>, RowsCtx<K>, usize) {
-    let mut graph: StageGraph<'a, RowsCtx<K>> = StageGraph::new();
-    let mut blocks = Vec::with_capacity(layout.num_blocks);
-    let mut passes = 0usize;
+    layout: RowLayout,
+    blocks: Vec<Mutex<BlockState<K>>>,
+    /// Graph indices of the appended stages, and the fused passes among
+    /// them.
+    appended: Mutex<(Range<usize>, usize)>,
+}
 
-    for b in 0..layout.num_blocks {
-        let (start, end) = layout.block_span(b, matrix.rows);
-        let block_len = end - start;
-        blocks.push(Mutex::new(BlockState {
-            pass: (0..block_len).map(|_| None).collect(),
-            first: (0..block_len).map(|_| None).collect(),
-            concat: (0..block_len).map(|_| None).collect(),
-            out: (0..block_len).map(|_| None).collect(),
-        }));
-
-        let paths = &layout.paths[start..end];
-        if paths.iter().all(|p| *p == RowPath::Skip) {
-            continue; // nothing to compute; the gather fills defaults
+impl<'a, K: TopKKey> RowChain<'a, K> {
+    /// Plan every row of `matrix` (per-row `ks`, clamped to the row length)
+    /// and split the rows into blocks of `rows_per_block` (at least 1).
+    pub fn new(
+        matrix: RowMatrix<'a, K>,
+        ks: &RowK,
+        config: &DrTopKConfig,
+        rows_per_block: usize,
+    ) -> Self {
+        let layout = layout_rows(&matrix, ks, config, rows_per_block);
+        // sized per block by `append`
+        let blocks = (0..layout.num_blocks)
+            .map(|_| Mutex::new(BlockState::new(0)))
+            .collect();
+        RowChain {
+            matrix,
+            layout,
+            blocks,
+            appended: Mutex::new((0..0, 0)),
         }
-        let has_exact = paths.contains(&RowPath::Exact);
-        let has_approx = paths.contains(&RowPath::Approx);
-        let device_idx = b % devices.len();
-        let device = devices[device_idx];
-        let resource = Resource::Compute(device_idx);
+    }
 
-        // Phase 1: the fused pass — one kernel launch for the whole block.
-        // Kind mirrors the single-vector pipeline's phase-1 stage: a
-        // delegate construction when any row runs the exact pipeline, the
-        // approximate candidate pass when the block is purely approximate
-        // (pure-fallback blocks keep the construction kind: the pass still
-        // *is* the block's one slab-reading pass).
-        let pass_kind = if !has_exact && has_approx {
-            StageKind::BucketTopKPrime
-        } else {
-            StageKind::DelegateConstruction
-        };
-        passes += 1;
-        let pass_id = graph.add_labeled(
-            pass_kind,
-            format!("rows {start}..{end} fused pass"),
-            resource,
-            &[],
-            move |ctx: &RowsCtx<K>| {
-                let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
-                let num_warps = block_len.clamp(1, 1 << 14);
-                let launch = device.launch("drtopk_rows_fused_pass", num_warps, |kctx| {
-                    let local = kctx.chunk_of(block_len);
-                    let mut out: Vec<(usize, RowPass<K>)> = Vec::new();
-                    let mut scratch: Vec<K> = Vec::new();
-                    let mut i = local.start;
-                    while i < local.end {
-                        if layout.paths[start + i] == RowPath::Skip {
-                            i += 1;
-                            continue;
-                        }
-                        // Extend to the contiguous run of active rows: the
-                        // warp reads the whole slab with ONE coalesced
-                        // access — this is the fused pass's transaction
-                        // saving over per-row pipeline runs.
-                        let mut j = i + 1;
-                        while j < local.end && layout.paths[start + j] != RowPath::Skip {
-                            j += 1;
-                        }
-                        let slab_start = (start + i) * matrix.cols;
-                        let slab_end = (start + j) * matrix.cols;
-                        let slab = kctx.read_coalesced(&matrix.data[slab_start..slab_end]);
-                        kctx.record_alu(slab.len() as u64);
-                        for l in i..j {
-                            let r = start + l;
-                            let row = &slab[(l - i) * matrix.cols..(l - i + 1) * matrix.cols];
-                            let planned = &layout.plans[r];
-                            match layout.paths[r] {
-                                RowPath::Skip => unreachable!("runs exclude skip rows"),
-                                RowPath::Direct => {
-                                    // The inner algorithm's exact answer is
-                                    // the unique descending top-k sequence
-                                    // in radix space; produce it straight
-                                    // from the slab.
-                                    let mut vals = row.to_vec();
-                                    vals.sort_unstable_by_key(|v| Reverse(v.to_bits()));
-                                    vals.truncate(planned.k);
-                                    kctx.record_store_coalesced::<u32>(kv_words * vals.len());
-                                    out.push((l, RowPass::Sorted(vals)));
-                                }
-                                RowPath::Exact | RowPath::Approx => {
-                                    let alpha = planned.alpha;
-                                    let subrange_size = 1usize << alpha;
-                                    let beta = planned.config.beta;
-                                    let num_subranges = matrix.cols.div_ceil(subrange_size);
-                                    let mut values = Vec::with_capacity(num_subranges * beta);
-                                    let mut ids = Vec::with_capacity(num_subranges * beta);
-                                    for s in 0..num_subranges {
-                                        let sub_end = ((s + 1) * subrange_size).min(matrix.cols);
-                                        top_beta_of(
-                                            &row[s * subrange_size..sub_end],
-                                            beta,
-                                            &mut scratch,
-                                        );
-                                        for &v in &scratch {
-                                            values.push(v);
-                                            ids.push(s as u32);
-                                        }
+    fn block(&self, b: usize) -> MutexGuard<'_, BlockState<K>> {
+        self.blocks[b]
+            .lock()
+            .expect("a row-block stage panicked while holding its buffers")
+    }
+
+    /// Append the row-block stages to `graph`, block `b` on
+    /// `placement[b % placement.len()]` (a device and its queue), every
+    /// block's first stage after `deps`. Per block with any work: a fused
+    /// pass stage, then (when the block has exact-path rows) first-top-k and
+    /// concatenation stages, then always a terminal second-top-k stage.
+    /// Returns the terminal stage of every block that has one. Appending
+    /// again re-arms the buffers for the new graph.
+    pub fn append<'g, C>(
+        &'g self,
+        graph: &mut StageGraph<'g, C>,
+        placement: &[(&'g Device, Resource)],
+        deps: &[StageId],
+    ) -> Vec<StageId> {
+        assert!(!placement.is_empty(), "need at least one device");
+        let matrix = self.matrix;
+        let layout = &self.layout;
+        let first_stage = graph.len();
+        let mut passes = 0usize;
+        let mut tails = Vec::new();
+
+        for b in 0..layout.num_blocks {
+            let (start, end) = layout.block_span(b, matrix.rows);
+            let block_len = end - start;
+            *self.block(b) = BlockState::new(block_len);
+
+            let paths = &layout.paths[start..end];
+            if paths.iter().all(|p| *p == RowPath::Skip) {
+                continue; // nothing to compute; the result fills defaults
+            }
+            let has_exact = paths.contains(&RowPath::Exact);
+            let has_approx = paths.contains(&RowPath::Approx);
+            let (device, resource) = placement[b % placement.len()];
+            // Phase 1: the fused pass — one kernel launch for the whole block.
+            // Kind mirrors the single-vector pipeline's phase-1 stage: a
+            // delegate construction when any row runs the exact pipeline, the
+            // approximate candidate pass when the block is purely approximate
+            // (pure-fallback blocks keep the construction kind: the pass still
+            // *is* the block's one slab-reading pass).
+            let pass_kind = if !has_exact && has_approx {
+                StageKind::BucketTopKPrime
+            } else {
+                StageKind::DelegateConstruction
+            };
+            passes += 1;
+            let pass_id = graph.add_labeled(
+                pass_kind,
+                format!("rows {start}..{end} fused pass"),
+                resource,
+                deps,
+                move |_| {
+                    let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
+                    let num_warps = block_len.clamp(1, 1 << 14);
+                    let launch = device.launch("drtopk_rows_fused_pass", num_warps, |kctx| {
+                        let local = kctx.chunk_of(block_len);
+                        let mut out: Vec<(usize, RowPass<K>)> = Vec::new();
+                        let mut scratch: Vec<K> = Vec::new();
+                        let mut i = local.start;
+                        while i < local.end {
+                            if layout.paths[start + i] == RowPath::Skip {
+                                i += 1;
+                                continue;
+                            }
+                            // Extend to the contiguous run of active rows: the
+                            // warp reads the whole slab with ONE coalesced
+                            // access — this is the fused pass's transaction
+                            // saving over per-row pipeline runs.
+                            let mut j = i + 1;
+                            while j < local.end && layout.paths[start + j] != RowPath::Skip {
+                                j += 1;
+                            }
+                            let slab_start = (start + i) * matrix.cols;
+                            let slab_end = (start + j) * matrix.cols;
+                            let slab = kctx.read_coalesced(&matrix.data[slab_start..slab_end]);
+                            kctx.record_alu(slab.len() as u64);
+                            for l in i..j {
+                                let r = start + l;
+                                let row = &slab[(l - i) * matrix.cols..(l - i + 1) * matrix.cols];
+                                let planned = &layout.plans[r];
+                                match layout.paths[r] {
+                                    RowPath::Skip => unreachable!("runs exclude skip rows"),
+                                    RowPath::Direct => {
+                                        // The inner algorithm's exact answer is
+                                        // the unique descending top-k sequence
+                                        // in radix space; produce it straight
+                                        // from the slab.
+                                        let mut vals = row.to_vec();
+                                        vals.sort_unstable_by_key(|v| Reverse(v.to_bits()));
+                                        vals.truncate(planned.k);
+                                        kctx.record_store_coalesced::<u32>(kv_words * vals.len());
+                                        out.push((l, RowPass::Sorted(vals)));
                                     }
-                                    kctx.record_store_coalesced::<u32>(kv_words * values.len());
-                                    out.push((
-                                        l,
-                                        RowPass::Delegates(DelegateVector {
-                                            values,
-                                            subrange_ids: ids,
-                                            beta,
-                                            subrange_size,
-                                            num_subranges,
-                                            method: planned.config.construction.resolve(alpha),
-                                            stats: KernelStats::default(),
-                                            time_ms: 0.0,
-                                        }),
-                                    ));
+                                    RowPath::Exact | RowPath::Approx => {
+                                        let alpha = planned.alpha;
+                                        let subrange_size = 1usize << alpha;
+                                        let beta = planned.config.beta;
+                                        let num_subranges = matrix.cols.div_ceil(subrange_size);
+                                        let mut values = Vec::with_capacity(num_subranges * beta);
+                                        let mut ids = Vec::with_capacity(num_subranges * beta);
+                                        for s in 0..num_subranges {
+                                            let sub_end =
+                                                ((s + 1) * subrange_size).min(matrix.cols);
+                                            top_beta_of(
+                                                &row[s * subrange_size..sub_end],
+                                                beta,
+                                                &mut scratch,
+                                            );
+                                            for &v in &scratch {
+                                                values.push(v);
+                                                ids.push(s as u32);
+                                            }
+                                        }
+                                        kctx.record_store_coalesced::<u32>(kv_words * values.len());
+                                        out.push((
+                                            l,
+                                            RowPass::Delegates(DelegateVector {
+                                                values,
+                                                subrange_ids: ids,
+                                                beta,
+                                                subrange_size,
+                                                num_subranges,
+                                                method: planned.config.construction.resolve(alpha),
+                                                stats: KernelStats::default(),
+                                                time_ms: 0.0,
+                                            }),
+                                        ));
+                                    }
                                 }
                             }
+                            i = j;
                         }
-                        i = j;
+                        out
+                    });
+                    let mut block = self.block(b);
+                    for (l, pass) in launch.output.into_iter().flatten() {
+                        block.pass[l] = Some(pass);
                     }
-                    out
-                });
-                let mut block = ctx.blocks[b].lock().unwrap();
-                for (l, pass) in launch.output.into_iter().flatten() {
-                    block.pass[l] = Some(pass);
-                }
-                StageOutcome {
-                    stats: launch.stats,
-                    time_ms: launch.time_ms,
-                }
-            },
-        );
-
-        // Phases 2 and 3 exist only when the block has exact-path rows.
-        let mut second_dep = pass_id;
-        if has_exact {
-            let first_id = graph.add_labeled(
-                StageKind::FirstTopK,
-                format!("rows {start}..{end} first top-k"),
-                resource,
-                &[pass_id],
-                move |ctx: &RowsCtx<K>| {
-                    let mut stats = KernelStats::default();
-                    let mut time_ms = 0.0;
-                    let mut block = ctx.blocks[b].lock().unwrap();
-                    let BlockState { pass, first, .. } = &mut *block;
-                    for l in 0..block_len {
-                        let r = start + l;
-                        if layout.paths[r] != RowPath::Exact {
-                            continue;
-                        }
-                        let planned = &layout.plans[r];
-                        let Some(RowPass::Delegates(dv)) = pass[l].as_ref() else {
-                            unreachable!("the fused pass built this row's delegates")
-                        };
-                        let f =
-                            first_topk(device, dv, planned.k, planned.config.resolve_skip_last());
-                        stats.merge(&f.stats);
-                        time_ms += f.time_ms;
-                        first[l] = Some(f);
+                    StageOutcome {
+                        stats: launch.stats,
+                        time_ms: launch.time_ms,
                     }
-                    StageOutcome { stats, time_ms }
                 },
             );
-            let concat_id = graph.add_labeled(
-                StageKind::Concatenate,
-                format!("rows {start}..{end} concatenate"),
+
+            // Phases 2 and 3 exist only when the block has exact-path rows.
+            let mut second_dep = pass_id;
+            if has_exact {
+                let first_id = graph.add_labeled(
+                    StageKind::FirstTopK,
+                    format!("rows {start}..{end} first top-k"),
+                    resource,
+                    &[pass_id],
+                    move |_| {
+                        let mut stats = KernelStats::default();
+                        let mut time_ms = 0.0;
+                        let mut block = self.block(b);
+                        let BlockState { pass, first, .. } = &mut *block;
+                        for l in 0..block_len {
+                            let r = start + l;
+                            if layout.paths[r] != RowPath::Exact {
+                                continue;
+                            }
+                            let planned = &layout.plans[r];
+                            let Some(RowPass::Delegates(dv)) = pass[l].as_ref() else {
+                                unreachable!("the fused pass built this row's delegates")
+                            };
+                            let f = first_topk(
+                                device,
+                                dv,
+                                planned.k,
+                                planned.config.resolve_skip_last(),
+                            );
+                            stats.merge(&f.stats);
+                            time_ms += f.time_ms;
+                            first[l] = Some(f);
+                        }
+                        StageOutcome { stats, time_ms }
+                    },
+                );
+                let concat_id = graph.add_labeled(
+                    StageKind::Concatenate,
+                    format!("rows {start}..{end} concatenate"),
+                    resource,
+                    &[first_id],
+                    move |_| {
+                        let mut stats = KernelStats::default();
+                        let mut time_ms = 0.0;
+                        let mut block = self.block(b);
+                        let BlockState {
+                            pass,
+                            first,
+                            concat,
+                            ..
+                        } = &mut *block;
+                        for l in 0..block_len {
+                            let r = start + l;
+                            if layout.paths[r] != RowPath::Exact {
+                                continue;
+                            }
+                            let planned = &layout.plans[r];
+                            let Some(RowPass::Delegates(dv)) = pass[l].as_ref() else {
+                                unreachable!("the fused pass built this row's delegates")
+                            };
+                            let f = first[l].as_ref().expect("first top-k ran for this row");
+                            let c = concatenate(
+                                device,
+                                matrix.row(r),
+                                dv.subrange_size,
+                                &f.fully_taken_subranges,
+                                &f.partial_delegate_values,
+                                f.threshold,
+                                planned.config.filtering,
+                            );
+                            stats.merge(&c.stats);
+                            time_ms += c.time_ms;
+                            concat[l] = Some(c);
+                        }
+                        StageOutcome { stats, time_ms }
+                    },
+                );
+                second_dep = concat_id;
+            }
+
+            // Phase 4: the terminal second top-k settles every row of the block.
+            tails.push(graph.add_labeled(
+                StageKind::SecondTopK,
+                format!("rows {start}..{end} second top-k"),
                 resource,
-                &[first_id],
-                move |ctx: &RowsCtx<K>| {
+                &[second_dep],
+                move |_| {
                     let mut stats = KernelStats::default();
                     let mut time_ms = 0.0;
-                    let mut block = ctx.blocks[b].lock().unwrap();
+                    let mut block = self.block(b);
                     let BlockState {
                         pass,
                         first,
                         concat,
-                        ..
+                        out,
                     } = &mut *block;
                     for l in 0..block_len {
                         let r = start + l;
-                        if layout.paths[r] != RowPath::Exact {
-                            continue;
-                        }
                         let planned = &layout.plans[r];
-                        let Some(RowPass::Delegates(dv)) = pass[l].as_ref() else {
-                            unreachable!("the fused pass built this row's delegates")
-                        };
-                        let f = first[l].as_ref().expect("first top-k ran for this row");
-                        let c = concatenate(
-                            device,
-                            matrix.row(r),
-                            dv.subrange_size,
-                            &f.fully_taken_subranges,
-                            &f.partial_delegate_values,
-                            f.threshold,
-                            planned.config.filtering,
-                        );
-                        stats.merge(&c.stats);
-                        time_ms += c.time_ms;
-                        concat[l] = Some(c);
-                    }
-                    StageOutcome { stats, time_ms }
-                },
-            );
-            second_dep = concat_id;
-        }
-
-        // Phase 4: the terminal second top-k settles every row of the block.
-        graph.add_labeled(
-            StageKind::SecondTopK,
-            format!("rows {start}..{end} second top-k"),
-            resource,
-            &[second_dep],
-            move |ctx: &RowsCtx<K>| {
-                let mut stats = KernelStats::default();
-                let mut time_ms = 0.0;
-                let mut block = ctx.blocks[b].lock().unwrap();
-                let BlockState {
-                    pass,
-                    first,
-                    concat,
-                    out,
-                } = &mut *block;
-                for l in 0..block_len {
-                    let r = start + l;
-                    let planned = &layout.plans[r];
-                    match layout.paths[r] {
-                        RowPath::Skip => {
-                            out[l] = Some((Vec::new(), K::default()));
-                        }
-                        RowPath::Direct => {
-                            let Some(RowPass::Sorted(vals)) = pass[l].take() else {
-                                unreachable!("the fused pass answered this row")
-                            };
-                            let kth = vals.last().copied().unwrap_or_default();
-                            out[l] = Some((vals, kth));
-                        }
-                        RowPath::Approx => {
-                            let Some(RowPass::Delegates(dv)) = pass[l].as_ref() else {
-                                unreachable!("the fused pass built this row's candidates")
-                            };
-                            let inner = planned.config.inner.run(device, &dv.values, planned.k);
-                            stats.merge(&inner.stats);
-                            time_ms += inner.time_ms;
-                            out[l] = Some((inner.values, inner.kth_value));
-                        }
-                        RowPath::Exact => {
-                            let f = first[l].as_ref().expect("first top-k ran for this row");
-                            let c = concat[l].as_ref().expect("concatenation ran for this row");
-                            // Same skip rule as the single-vector pipeline
-                            // (Figure 8b): the taken delegates alone answer
-                            // the query exactly.
-                            let skipped = f.fully_taken_subranges.is_empty()
-                                && f.exact_threshold
-                                && c.elements.len() == planned.k;
-                            if skipped {
-                                let mut vals = c.elements.clone();
-                                vals.sort_unstable_by_key(|v| Reverse(v.to_bits()));
+                        match layout.paths[r] {
+                            RowPath::Skip => {
+                                out[l] = Some((Vec::new(), K::default()));
+                            }
+                            RowPath::Direct => {
+                                let Some(RowPass::Sorted(vals)) = pass[l].take() else {
+                                    unreachable!("the fused pass answered this row")
+                                };
                                 let kth = vals.last().copied().unwrap_or_default();
                                 out[l] = Some((vals, kth));
-                            } else {
-                                let inner =
-                                    planned.config.inner.run(device, &c.elements, planned.k);
+                            }
+                            RowPath::Approx => {
+                                let Some(RowPass::Delegates(dv)) = pass[l].as_ref() else {
+                                    unreachable!("the fused pass built this row's candidates")
+                                };
+                                let inner = planned.config.inner.run(device, &dv.values, planned.k);
+                                stats.merge(&inner.stats);
+                                time_ms += inner.time_ms;
+                                out[l] = Some((inner.values, inner.kth_value));
+                            }
+                            RowPath::Exact => {
+                                let f = first[l].as_ref().expect("first top-k ran for this row");
+                                let c = concat[l].as_ref().expect("concatenation ran for this row");
+                                let (inner, _) =
+                                    second_topk(device, planned.config.inner, f, c, planned.k);
                                 stats.merge(&inner.stats);
                                 time_ms += inner.time_ms;
                                 out[l] = Some((inner.values, inner.kth_value));
                             }
                         }
                     }
-                }
-                StageOutcome { stats, time_ms }
-            },
-        );
-    }
-
-    (graph, RowsCtx { blocks }, passes)
-}
-
-/// Assemble the per-row results and schedule-derived aggregates.
-fn gather_result<K: TopKKey>(
-    layout: &RowLayout,
-    rows: usize,
-    ctx: RowsCtx<K>,
-    report: StageReport,
-    passes: usize,
-) -> RowTopKResult<K> {
-    let mut out_rows = Vec::with_capacity(rows);
-    for (b, block) in ctx.blocks.into_iter().enumerate() {
-        let block = block.into_inner().unwrap();
-        let (start, end) = layout.block_span(b, rows);
-        debug_assert_eq!(block.out.len(), end - start);
-        for slot in block.out {
-            let (values, kth_value) = slot.unwrap_or_else(|| (Vec::new(), K::default()));
-            out_rows.push(TopKResult {
-                values,
-                kth_value,
-                stats: KernelStats::default(),
-                time_ms: 0.0,
-            });
+                    StageOutcome { stats, time_ms }
+                },
+            ));
         }
+        *self
+            .appended
+            .lock()
+            .expect("a row-block stage panicked while holding its buffers") =
+            (first_stage..graph.len(), passes);
+        tails
     }
-    RowTopKResult {
-        rows: out_rows,
-        num_blocks: layout.num_blocks,
-        rows_per_block: layout.rows_per_block,
-        delegate_passes: passes,
-        breakdown: report.phase_breakdown(),
-        stats: report.stats(),
-        time_ms: report.makespan_ms,
-        predicted_recall: layout.predicted_recall,
-        stages: report,
+
+    /// Every row's winners and threshold as bit patterns: the
+    /// schedule-invariance witness of [`topk_rows_explore`].
+    fn winner_bits(&self) -> Vec<(Vec<K::Bits>, K::Bits)> {
+        let mut bits = Vec::with_capacity(self.matrix.rows);
+        for block in &self.blocks {
+            for slot in &block
+                .lock()
+                .expect("a row-block stage panicked while holding its buffers")
+                .out
+            {
+                // an all-skip block leaves its rows unanswered: empty
+                let (vals, kth) = slot
+                    .as_ref()
+                    .map_or((&[][..], K::default()), |(v, k)| (v, *k));
+                bits.push((vals.iter().map(|v| v.to_bits()).collect(), kth.to_bits()));
+            }
+        }
+        bits
+    }
+
+    /// The per-row results after the graph executed. Modeled time,
+    /// breakdown and counters are read off the chain's own stages of
+    /// `report`; the result's `stages`
+    /// report is left empty — a runner that executed the chain alone
+    /// attaches its report.
+    pub fn into_result(self, report: &StageReport) -> RowTopKResult<K> {
+        let (stages, passes) = self
+            .appended
+            .into_inner()
+            .expect("a row-block stage panicked while holding its buffers");
+        let (time_ms, breakdown, stats) = report.range_totals(stages);
+        let mut rows = Vec::with_capacity(self.matrix.rows);
+        for block in self.blocks {
+            for slot in block
+                .into_inner()
+                .expect("a row-block stage panicked while holding its buffers")
+                .out
+            {
+                let (values, kth_value) = slot.unwrap_or_else(|| (Vec::new(), K::default()));
+                rows.push(TopKResult {
+                    values,
+                    kth_value,
+                    stats: KernelStats::default(),
+                    time_ms: 0.0,
+                });
+            }
+        }
+        RowTopKResult {
+            rows,
+            num_blocks: self.layout.num_blocks,
+            rows_per_block: self.layout.rows_per_block,
+            delegate_passes: passes,
+            breakdown,
+            stats,
+            time_ms,
+            stages: StageReport::default(),
+            predicted_recall: self.layout.predicted_recall,
+        }
     }
 }
 
@@ -682,34 +758,35 @@ pub fn topk_rows_on<K: TopKKey>(
     rows_per_block: Option<usize>,
     executor: Executor,
 ) -> RowTopKResult<K> {
+    let (chain, placement) = plan_rows(devices, matrix, ks, config, rows_per_block);
+    let mut graph = StageGraph::new();
+    chain.append(&mut graph, &placement, &[]);
+    let report = graph.execute_with(&(), executor);
+    let result = chain.into_result(&report);
+    RowTopKResult {
+        stages: report,
+        ..result
+    }
+}
+
+/// The standalone runners' set-up: the chain at the requested block size
+/// (default one block per device) and block placement on `devices[i]`'s
+/// compute queue.
+fn plan_rows<'a, K: TopKKey>(
+    devices: &[&'a Device],
+    matrix: RowMatrix<'a, K>,
+    ks: &RowK,
+    config: &DrTopKConfig,
+    rows_per_block: Option<usize>,
+) -> (RowChain<'a, K>, Vec<(&'a Device, Resource)>) {
     assert!(!devices.is_empty(), "need at least one device");
     let rpb = rows_per_block.unwrap_or_else(|| matrix.rows.div_ceil(devices.len()).max(1));
-    let layout = layout_rows(&matrix, ks, config, rpb);
-    if layout.paths.iter().all(|p| *p == RowPath::Skip) {
-        // Nothing to compute (no rows, empty rows, or every k = 0).
-        return RowTopKResult {
-            rows: vec![
-                TopKResult {
-                    values: Vec::new(),
-                    kth_value: K::default(),
-                    stats: KernelStats::default(),
-                    time_ms: 0.0,
-                };
-                matrix.rows
-            ],
-            num_blocks: layout.num_blocks,
-            rows_per_block: layout.rows_per_block,
-            delegate_passes: 0,
-            breakdown: PhaseBreakdown::default(),
-            stats: KernelStats::default(),
-            time_ms: 0.0,
-            stages: StageReport::default(),
-            predicted_recall: 1.0,
-        };
-    }
-    let (graph, ctx, passes) = build_rows_graph(devices, matrix, &layout);
-    let report = graph.execute_with(&ctx, executor);
-    gather_result(&layout, matrix.rows, ctx, report, passes)
+    let placement = devices
+        .iter()
+        .enumerate()
+        .map(|(i, &device)| (device, Resource::Compute(i)))
+        .collect();
+    (RowChain::new(matrix, ks, config, rpb), placement)
 }
 
 /// Model-check a row-matrix graph's schedule space, then run it.
@@ -728,49 +805,18 @@ pub fn topk_rows_explore<K: TopKKey>(
     rows_per_block: Option<usize>,
     budget: ExploreBudget,
 ) -> Result<(RowTopKResult<K>, ExploreOutcome), Box<Divergence>> {
-    assert!(!devices.is_empty(), "need at least one device");
-    let rpb = rows_per_block.unwrap_or_else(|| matrix.rows.div_ceil(devices.len()).max(1));
-    let layout = layout_rows(&matrix, ks, config, rpb);
-    if layout.paths.iter().all(|p| *p == RowPath::Skip) {
-        let outcome = ExploreOutcome {
-            schedules_run: 0,
-            exhaustive: true,
-            stages: 0,
-            reference: StageReport::default(),
-        };
-        let result = topk_rows_on(devices, matrix, ks, config, Some(rpb), Executor::Threaded);
-        return Ok((result, outcome));
-    }
+    let (chain, placement) = plan_rows(devices, matrix, ks, config, rows_per_block);
+    let rpb = Some(chain.layout.rows_per_block);
     let outcome = explore_schedules(
         || {
-            let (graph, ctx, _) = build_rows_graph(devices, matrix, &layout);
-            (graph, ctx)
+            let mut graph = StageGraph::new();
+            chain.append(&mut graph, &placement, &[]);
+            (graph, ())
         },
-        |ctx: &RowsCtx<K>, _| {
-            // Bit patterns of every row's winners + threshold: the
-            // schedule-invariance witness.
-            ctx.blocks
-                .iter()
-                .map(|block| {
-                    let block = block.lock().unwrap();
-                    block
-                        .out
-                        .iter()
-                        .map(|slot| {
-                            slot.as_ref().map(|(vals, kth)| {
-                                (
-                                    vals.iter().map(|v| v.to_bits()).collect::<Vec<K::Bits>>(),
-                                    kth.to_bits(),
-                                )
-                            })
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        },
+        |_, _| chain.winner_bits(),
         budget,
     )?;
-    let result = topk_rows_on(devices, matrix, ks, config, Some(rpb), Executor::Threaded);
+    let result = topk_rows_on(devices, matrix, ks, config, rpb, Executor::Threaded);
     Ok((result, outcome))
 }
 
@@ -870,11 +916,18 @@ mod tests {
         let matrix = RowMatrix::new(&data, rows, cols);
         // mixed paths in one graph: approx rows and fallback rows together
         let ks = RowK::PerRow(vec![8, 0, cols / 2, 8, 8, cols, 8]);
-        let layout = layout_rows(&matrix, &ks, &DrTopKConfig::default(), 2);
-        let devices: Vec<&Device> = c.devices().iter().collect();
-        let (graph, _ctx, passes) = build_rows_graph(&devices, matrix, &layout);
+        let chain = RowChain::new(matrix, &ks, &DrTopKConfig::default(), 2);
+        let placement: Vec<(&Device, Resource)> = c
+            .devices()
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (d, Resource::Compute(i)))
+            .collect();
+        let mut graph: StageGraph<'_, ()> = StageGraph::new();
+        chain.append(&mut graph, &placement, &[]);
         let diags = crate::verify::verify_specs(&graph.specs(), &Default::default());
         assert!(diags.is_empty(), "row-block graph must verify: {diags:?}");
+        let passes = chain.appended.lock().unwrap().1;
         assert!(passes <= 4, "4 blocks of 2 rows; {passes} passes");
     }
 

@@ -58,6 +58,7 @@
 #![allow(clippy::disallowed_types)]
 
 use std::any::Any;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -1055,15 +1056,22 @@ impl StageReport {
     /// dependencies complete) and its start, i.e. time spent waiting for
     /// its resource.
     pub fn record_into(&self, sink: &dyn TraceSink) {
-        self.record_shifted(sink, 0.0);
+        self.record_shifted(sink, 0.0, 0.0);
     }
 
-    /// Like [`StageReport::record_into`] but with every interval (modeled
-    /// *and* measured) shifted by `offset_ms` — used by the engine to place
-    /// per-unit stage reports onto the batch timeline at their scheduled
-    /// worker start times. An offset of exactly `0.0` preserves the
-    /// original `f64` bit patterns.
-    pub fn record_shifted(&self, sink: &dyn TraceSink, offset_ms: f64) {
+    /// Like [`StageReport::record_into`] but with every modeled interval
+    /// shifted by `modeled_offset_ms` and every measured one by
+    /// `measured_offset_ms` — used by the engine to place per-unit stage
+    /// reports onto the batch timeline: modeled at the unit's scheduled
+    /// worker start, measured at the unit's real host start. The two clocks
+    /// never mix. An offset of exactly `0.0` preserves the original `f64`
+    /// bit patterns.
+    pub fn record_shifted(
+        &self,
+        sink: &dyn TraceSink,
+        modeled_offset_ms: f64,
+        measured_offset_ms: f64,
+    ) {
         for (i, s) in self.stages.iter().enumerate() {
             let ready_ms = s
                 .deps
@@ -1076,10 +1084,10 @@ impl StageReport {
                 label: s.label.clone(),
                 track: s.resource.label(),
                 deps: s.deps.clone(),
-                start_ms: s.start_ms + offset_ms,
-                end_ms: s.end_ms + offset_ms,
-                measured_start_ms: s.measured_start_ms + offset_ms,
-                measured_end_ms: s.measured_end_ms + offset_ms,
+                start_ms: s.start_ms + modeled_offset_ms,
+                end_ms: s.end_ms + modeled_offset_ms,
+                measured_start_ms: s.measured_start_ms + measured_offset_ms,
+                measured_end_ms: s.measured_end_ms + measured_offset_ms,
                 queue_wait_ms: (s.start_ms - ready_ms).max(0.0),
             });
         }
@@ -1120,27 +1128,53 @@ impl StageReport {
     /// that of concatenation, and [`StageKind::RadixSelect`] that of the
     /// final selection.
     pub fn phase_breakdown(&self) -> PhaseBreakdown {
-        let mut b = PhaseBreakdown::default();
-        for s in &self.stages {
-            let d = s.duration_ms();
-            match s.kind {
-                StageKind::DelegateConstruction | StageKind::BucketTopKPrime => {
-                    b.delegate_ms += d;
-                }
-                StageKind::FirstTopK | StageKind::RadixHistogram | StageKind::RadixRefine => {
-                    b.first_topk_ms += d;
-                }
-                StageKind::Concatenate | StageKind::CandidateGather => b.concat_ms += d,
-                StageKind::SecondTopK
-                | StageKind::LocalTopK
-                | StageKind::LocalMerge
-                | StageKind::FinalTopK
-                | StageKind::RadixSelect => b.second_topk_ms += d,
-                StageKind::ChunkLoad | StageKind::Gather => b.transfer_ms += d,
-            }
-        }
-        b
+        breakdown_of(&self.stages)
     }
+
+    /// Modeled time, phase breakdown and kernel counters of the stages in
+    /// `range` — one appended chain's share of a graph that several chains
+    /// were appended to. The time runs from the range's earliest start to
+    /// its latest end, so over a whole graph it is exactly the makespan; an
+    /// empty range costs nothing.
+    pub(crate) fn range_totals(&self, range: Range<usize>) -> (f64, PhaseBreakdown, KernelStats) {
+        let stages = &self.stages[range];
+        let start = stages
+            .iter()
+            .map(|s| s.start_ms)
+            .fold(f64::INFINITY, f64::min);
+        let end = stages.iter().map(|s| s.end_ms).fold(0.0, f64::max);
+        let time_ms = if stages.is_empty() { 0.0 } else { end - start };
+        (
+            time_ms,
+            breakdown_of(stages),
+            stages.iter().map(|s| s.stats).sum(),
+        )
+    }
+}
+
+/// The paper-phase breakdown of a run of executed stages (see
+/// [`StageReport::phase_breakdown`]).
+fn breakdown_of(stages: &[ExecutedStage]) -> PhaseBreakdown {
+    let mut b = PhaseBreakdown::default();
+    for s in stages {
+        let d = s.duration_ms();
+        match s.kind {
+            StageKind::DelegateConstruction | StageKind::BucketTopKPrime => {
+                b.delegate_ms += d;
+            }
+            StageKind::FirstTopK | StageKind::RadixHistogram | StageKind::RadixRefine => {
+                b.first_topk_ms += d;
+            }
+            StageKind::Concatenate | StageKind::CandidateGather => b.concat_ms += d,
+            StageKind::SecondTopK
+            | StageKind::LocalTopK
+            | StageKind::LocalMerge
+            | StageKind::FinalTopK
+            | StageKind::RadixSelect => b.second_topk_ms += d,
+            StageKind::ChunkLoad | StageKind::Gather => b.transfer_ms += d,
+        }
+    }
+    b
 }
 
 #[cfg(test)]

@@ -220,21 +220,21 @@ pub struct VerifyOptions {
 /// Which stage kinds a stage of `kind` may legally depend on — the
 /// dependency-side encoding of the paper's phase order (`V011`). The rules
 /// admit every graph the planners and the engine build, including the
-/// engine's spliced unit graphs where a member's own delegate pass chains
-/// behind the unit's shared pass.
+/// engine's unit graphs where every member chain hangs off the unit's
+/// shared pass and a member's own delegate pass chains behind it.
 fn allowed_dep_kinds(kind: StageKind) -> &'static [StageKind] {
     use StageKind::*;
     match kind {
-        // A rebuild pass may chain behind a shared pass (engine splicing).
+        // A rebuild pass may chain behind a shared pass (engine unit).
         DelegateConstruction | BucketTopKPrime => &[DelegateConstruction, BucketTopKPrime],
-        // Normally fed by the β-delegate pass; in a spliced engine unit an
+        // Normally fed by the β-delegate pass; in an engine unit graph an
         // exact-fallback member's first top-k can chain behind the unit's
         // shared k′ candidate pass instead.
         FirstTopK => &[DelegateConstruction, BucketTopKPrime],
         Concatenate => &[FirstTopK],
         // Fed by the concatenation (exact), the candidate pass (approx), or
-        // a shared delegate pass (engine macro stage); no deps on the
-        // fallback path.
+        // a shared delegate pass (an engine unit's fallback member); no
+        // deps on a standalone fallback path.
         SecondTopK => &[Concatenate, BucketTopKPrime, DelegateConstruction],
         // A load waits (at most) for the compute that frees its staging
         // buffer.
@@ -482,7 +482,7 @@ pub fn verify_specs(specs: &[StageSpec], opts: &VerifyOptions) -> Vec<Diagnostic
 
     // V012 — radix-chain integrity: every narrowing stage must reach a
     // radix select through dependent edges. Reachability (not exactly-one)
-    // keeps spliced/merged schedules legal.
+    // keeps graphs holding several chains legal.
     let selects: Vec<usize> = specs
         .iter()
         .enumerate()

@@ -1,29 +1,32 @@
 //! Plan execution: a worker pool with one [`Device`] per worker for fused
-//! units, and the whole-cluster distributed path for sharded queries.
+//! and row-matrix units, and the whole-cluster distributed path for
+//! sharded queries.
 //!
-//! Fused units are pulled from a shared atomic queue (dynamic load
+//! Pool units are pulled from a shared atomic queue (dynamic load
 //! balancing: a worker that drew a cheap unit immediately takes the next
-//! one). Each unit executes as a **stage graph** on its worker's device:
-//! one shared delegate-pass stage — built, or recalled from the delegate
-//! cache — followed by every member query's own pipeline stages (first
-//! top-k, concatenation, second top-k — themselves scheduled by the core
-//! stage executor inside [`dr_topk_planned`]). The unit's
-//! [`StageReport`] is the engine's single instrumentation point: per-phase
-//! times, the compute/transfer split and the modeled unit cost are all
-//! derived from it instead of being hand-accumulated at three sites.
-//! Sharded queries run the distributed stage graph (double-buffered chunk
-//! ingestion) and report their breakdown and overlap the same way. Worker
-//! failures are surfaced per device through
+//! one). Each unit executes as **one stage graph** on its worker's device.
+//! A fused unit's graph is the shared delegate-pass stage — absent when the
+//! delegate cache already holds the vector — followed by every member's
+//! [`QueryChain`] appended after it: first top-k, concatenation, second
+//! top-k for exact members, the candidate top-k for approximate ones, the
+//! digit passes for radix members. A row unit's graph holds every member's
+//! row blocks ([`RowChain`]). The report that graph's `execute` returns *is*
+//! the unit's schedule: per-phase times, counters, the modeled unit cost
+//! and the trace spans are read off it, and each member's own result off
+//! its stages of it; the executor's debug-build verifier gate checks it
+//! like any other graph. Sharded queries run the distributed stage graph
+//! (double-buffered chunk ingestion) and report their breakdown and
+//! overlap the same way. Worker failures are surfaced per device through
 //! [`GpuCluster::try_run_on_all`] instead of poisoning the batch.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use drtopk_core::{
-    as_desc, build_delegate_vector, capacity_in_keys, distributed_dr_topk, dr_topk_planned,
-    topk_rows_on, CalibrationFit, DelegateVector, DrTopKConfig, DrTopKResult, ExecutedStage,
-    Executor, PhaseBreakdown, Resource, RowMatrix, RowTopKResult, StageGraph, StageId, StageKind,
-    StageOutcome, StageReport,
+    as_desc, build_delegate_vector, capacity_in_keys, distributed_dr_topk, CalibrationFit,
+    DelegateVector, DrTopKConfig, DrTopKResult, PhaseBreakdown, QueryChain, Resource, RowChain,
+    RowMatrix, RowTopKResult, SharedDelegates, StageGraph, StageKind, StageOutcome, StageReport,
 };
 use drtopk_obs::TraceSink;
 use gpu_sim::{Device, GpuCluster, KernelStats};
@@ -35,15 +38,22 @@ use crate::plan::{ExecutionPlan, FusedUnit, PlanCache, PlanUnit, RowUnit};
 use crate::query::{Direction, QueryBatch, RowQuery};
 use crate::report::{CacheReport, ExecPath, QueryResult, RowQueryResult};
 
+/// One executed pool unit: its stage schedule and where it started on the
+/// host.
+struct UnitRun {
+    /// The unit graph's report, on the worker's device.
+    stages: StageReport,
+    /// Host wall-clock at which the unit's graph started executing, in ms
+    /// since the batch started.
+    host_start_ms: f64,
+}
+
 /// What executing one fused unit produced.
 struct FusedOutcome<K: TopKKey> {
     unit: usize,
     /// `(query index, modeled predicted recall, result)` per member.
     results: Vec<(usize, f64, DrTopKResult<K>)>,
-    /// The unit's composed stage schedule: the shared delegate pass (when
-    /// one was built) followed by every member's stages, serial on the
-    /// worker's device.
-    unit_stages: StageReport,
+    run: UnitRun,
     delegate_pass_run: bool,
     delegate_from_cache: bool,
 }
@@ -53,9 +63,7 @@ struct RowsOutcome<K: TopKKey> {
     unit: usize,
     /// `(row-query index, result)` per member.
     results: Vec<(usize, RowQueryResult<K>)>,
-    /// The members' row-block schedules composed serially on the worker's
-    /// device.
-    unit_stages: StageReport,
+    run: UnitRun,
     /// Fused per-block delegate passes the unit ran across its members.
     delegate_passes: usize,
 }
@@ -64,6 +72,29 @@ struct RowsOutcome<K: TopKKey> {
 enum PoolOutcome<K: TopKKey> {
     Fused(FusedOutcome<K>),
     Rows(RowsOutcome<K>),
+}
+
+/// What every pool unit runs against: its worker's device and the
+/// batch-wide state.
+struct Worker<'a> {
+    device: &'a Device,
+    /// The worker's device slot; its compute queue hosts the unit graph.
+    device_idx: usize,
+    base: &'a DrTopKConfig,
+    cache: &'a Mutex<PlanCache>,
+    /// When the batch started executing (the trace's host time origin).
+    epoch: Instant,
+}
+
+impl Worker<'_> {
+    /// Execute one unit graph on this worker, noting its host start.
+    fn run(&self, graph: StageGraph<'_, ()>) -> UnitRun {
+        let host_start_ms = self.epoch.elapsed().as_secs_f64() * 1e3;
+        UnitRun {
+            stages: graph.execute(&()),
+            host_start_ms,
+        }
+    }
 }
 
 /// Everything `run_batch` needs back from execution; cache counters are
@@ -133,97 +164,19 @@ impl ResidualAccum {
     }
 }
 
-/// Compose the unit-level stage report from the macro graph's schedule.
-///
-/// The macro graph has one stage per member (plus the shared pass when one
-/// ran); each member macro stage is replaced here by that member's own
-/// executed pipeline stages, shifted onto the unit's serial timeline and
-/// re-tagged with the worker's device. Dependencies are remapped into the
-/// composed index space, with the shared pass as the root of every member
-/// chain, and the per-kind calibration is refit over the spliced stages.
-fn splice_unit_stages<K: TopKKey>(
-    macro_report: &StageReport,
-    pass_ran: bool,
-    device: usize,
-    results: &[DrTopKResult<K>],
-) -> StageReport {
-    let mut stages: Vec<ExecutedStage> = Vec::new();
-    let mut pass_idx: Option<usize> = None;
-    let mut members = results.iter();
-    for (i, macro_stage) in macro_report.stages.iter().enumerate() {
-        if pass_ran && i == 0 {
-            pass_idx = Some(stages.len());
-            stages.push(ExecutedStage {
-                resource: Resource::Compute(device),
-                ..macro_stage.clone()
-            });
-            continue;
-        }
-        let member = members.next().expect("one macro stage per member");
-        let base_idx = stages.len();
-        for inner in &member.stages.stages {
-            let deps = if inner.deps.is_empty() {
-                pass_idx.into_iter().collect()
-            } else {
-                inner.deps.iter().map(|d| d + base_idx).collect()
-            };
-            stages.push(ExecutedStage {
-                kind: inner.kind,
-                label: inner.label.clone(),
-                resource: Resource::Compute(device),
-                deps,
-                start_ms: inner.start_ms + macro_stage.start_ms,
-                end_ms: inner.end_ms + macro_stage.start_ms,
-                measured_start_ms: inner.measured_start_ms + macro_stage.measured_start_ms,
-                measured_end_ms: inner.measured_end_ms + macro_stage.measured_start_ms,
-                stats: inner.stats,
-            });
-        }
-    }
-    let calibration = CalibrationFit::fit(&stages);
-    let report = StageReport {
-        stages,
-        makespan_ms: macro_report.makespan_ms,
-        measured_makespan_ms: macro_report.measured_makespan_ms,
-        calibration,
-    };
-    // The macro graph was verified when it executed; splicing re-wires
-    // kinds, resources and dependencies, so debug builds re-check the
-    // composed schedule too (the index remapping is exactly the kind of
-    // arithmetic the verifier exists to catch).
-    #[cfg(debug_assertions)]
-    {
-        let diags = report.verify();
-        assert!(
-            diags.is_empty(),
-            "spliced unit stage report failed verification:\n{}",
-            diags
-                .iter()
-                .map(|d| format!("  {d}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
-    report
-}
-
-/// Run one fused unit's typed half as a real stage graph: the shared
-/// delegate pass (cache miss only) is the root stage, and every member
-/// query is a dependent stage on the same worker device. The graph is
+/// Run one fused unit's typed half as one stage graph: the shared delegate
+/// pass (cache miss only) is the root stage, and every member's query
+/// chain is appended after it on the worker's device. The graph is
 /// single-resource, so the executor runs it inline on the calling worker
-/// thread; the member macro stages are then spliced into a unit-level
-/// report via [`splice_unit_stages`].
+/// thread.
 fn run_fused_typed<K: TopKKey>(
-    device: &Device,
-    device_idx: usize,
+    worker: &Worker<'_>,
     data: &[K],
     corpus_id: Option<u64>,
     unit: &FusedUnit,
-    base: &DrTopKConfig,
-    cache: &Mutex<PlanCache>,
 ) -> (
     Vec<DrTopKResult<K>>,
-    StageReport,
+    UnitRun,
     /* pass_run */ bool,
     /* from_cache */ bool,
 ) {
@@ -231,27 +184,42 @@ fn run_fused_typed<K: TopKKey>(
     // Resolve the delegate cache up front: a hit means the |V|-scan
     // disappears from the batch entirely (no pass stage in the graph); a
     // miss means the graph's first stage builds and caches it.
-    let cached: Option<Arc<DelegateVector<K>>> = if unit.needs_delegates {
-        cache
+    let pass: OnceLock<Arc<DelegateVector<K>>> = OnceLock::new();
+    if unit.needs_delegates {
+        let hit = worker
+            .cache
             .lock()
-            .get_delegates::<K>(corpus_id, data.len(), unit.alpha, beta)
-    } else {
-        None
-    };
-    let from_cache = cached.is_some();
+            .get_delegates(corpus_id, data.len(), unit.alpha, beta);
+        if let Some(hit) = hit {
+            let _ = pass.set(hit);
+        }
+    }
+    let from_cache = pass.get().is_some();
     let needs_build = unit.needs_delegates && !from_cache;
 
-    struct UnitCtx<K: TopKKey> {
-        delegates: Mutex<Option<Arc<DelegateVector<K>>>>,
-        members: Vec<Mutex<Option<DrTopKResult<K>>>>,
-    }
-    let ctx = UnitCtx::<K> {
-        delegates: Mutex::new(cached),
-        members: unit.planned.iter().map(|_| Mutex::new(None)).collect(),
-    };
+    // A member may only read the shared pass when the pass covers its
+    // plan: equal β for exact members, a budget at least the member's own
+    // for approximate ones (more candidates only raise recall). The rare
+    // member that fell back to an incompatible exact plan builds its own
+    // pass.
+    let chains: Vec<QueryChain<'_, K>> = unit
+        .planned
+        .iter()
+        .map(|planned| {
+            let covered = if planned.config.mode.strict_target().is_some() {
+                beta >= planned.config.beta
+            } else {
+                beta == planned.config.beta
+            };
+            let shared =
+                (unit.needs_delegates && covered).then_some(SharedDelegates::Pending(&pass));
+            QueryChain::new(data, planned, shared)
+        })
+        .collect();
 
-    let mut graph: StageGraph<'_, UnitCtx<K>> = StageGraph::new();
-    let mut member_deps: Vec<StageId> = Vec::new();
+    let (device, resource) = (worker.device, Resource::Compute(worker.device_idx));
+    let mut graph: StageGraph<'_, ()> = StageGraph::new();
+    let mut member_deps = Vec::new();
     if needs_build {
         // The one shared pass is the unit's first stage; its kind mirrors
         // what the pass is (candidate generation for approximate groups,
@@ -261,21 +229,22 @@ fn run_fused_typed<K: TopKKey>(
         } else {
             StageKind::DelegateConstruction
         };
+        let pass = &pass;
         member_deps.push(graph.add_labeled(
             kind,
             "shared delegate pass",
-            Resource::Compute(device_idx),
+            resource,
             &[],
-            move |ctx: &UnitCtx<K>| {
+            move |_| {
                 let built = Arc::new(build_delegate_vector(
                     device,
                     data,
                     unit.alpha,
                     beta,
-                    base.construction,
+                    worker.base.construction,
                 ));
                 if let Some(id) = corpus_id {
-                    cache.lock().put_delegates(
+                    worker.cache.lock().put_delegates(
                         id,
                         data.len(),
                         unit.alpha,
@@ -287,86 +256,37 @@ fn run_fused_typed<K: TopKKey>(
                     stats: built.stats,
                     time_ms: built.time_ms,
                 };
-                *ctx.delegates.lock() = Some(built);
+                let _ = pass.set(built);
                 outcome
             },
         ));
     }
-    for (m, planned) in unit.planned.iter().enumerate() {
-        graph.add_labeled(
-            StageKind::SecondTopK,
-            format!("member {m}"),
-            Resource::Compute(device_idx),
-            &member_deps,
-            move |ctx: &UnitCtx<K>| {
-                // A member may only run against the shared pass when the
-                // pass covers its plan: equal β for exact members, a
-                // budget at least the member's own for approximate ones
-                // (more candidates only raise recall). The rare member
-                // that fell back to an incompatible exact plan builds its
-                // own pass.
-                let delegates = ctx.delegates.lock().clone();
-                let member_shared = delegates.as_deref().filter(|d| {
-                    if planned.config.mode.strict_target().is_some() {
-                        d.beta >= planned.config.beta
-                    } else {
-                        d.beta == planned.config.beta
-                    }
-                });
-                let r = dr_topk_planned(device, data, member_shared, planned);
-                let outcome = StageOutcome {
-                    stats: r.stats,
-                    time_ms: r.time_ms,
-                };
-                *ctx.members[m].lock() = Some(r);
-                outcome
-            },
-        );
+    for chain in &chains {
+        chain.append(&mut graph, device, resource, &member_deps);
     }
-    let macro_report = graph.execute(&ctx);
-    let results: Vec<DrTopKResult<K>> = ctx
-        .members
+    let run = worker.run(graph);
+    let results = chains
         .into_iter()
-        .map(|slot| slot.into_inner().expect("member stage ran"))
+        .map(|chain| chain.into_result(&run.stages))
         .collect();
-    let unit_stages = splice_unit_stages(&macro_report, needs_build, device_idx, &results);
-    (results, unit_stages, needs_build, from_cache)
+    (results, run, needs_build, from_cache)
 }
 
 /// Direction dispatch around [`run_fused_typed`].
-#[allow(clippy::too_many_arguments)]
 fn run_fused_unit<K: TopKKey>(
-    device: &Device,
-    device_idx: usize,
+    worker: &Worker<'_>,
     data: &[K],
     corpus_id: Option<u64>,
     unit_idx: usize,
     unit: &FusedUnit,
-    base: &DrTopKConfig,
-    cache: &Mutex<PlanCache>,
 ) -> FusedOutcome<K> {
-    let (results, unit_stages, pass_run, from_cache) = match unit.direction {
-        Direction::Largest => {
-            run_fused_typed::<K>(device, device_idx, data, corpus_id, unit, base, cache)
-        }
+    let (results, run, pass_run, from_cache) = match unit.direction {
+        Direction::Largest => run_fused_typed::<K>(worker, data, corpus_id, unit),
         Direction::Smallest => {
-            let (res, stages, run, cached) = run_fused_typed::<Desc<K>>(
-                device,
-                device_idx,
-                as_desc(data),
-                corpus_id,
-                unit,
-                base,
-                cache,
-            );
-            (
-                res.into_iter()
-                    .map(DrTopKResult::into_native)
-                    .collect::<Vec<_>>(),
-                stages,
-                run,
-                cached,
-            )
+            let (res, run, pass_run, from_cache) =
+                run_fused_typed::<Desc<K>>(worker, as_desc(data), corpus_id, unit);
+            let res = res.into_iter().map(DrTopKResult::into_native).collect();
+            (res, run, pass_run, from_cache)
         }
     };
     FusedOutcome {
@@ -378,106 +298,74 @@ fn run_fused_unit<K: TopKKey>(
             .zip(results)
             .map(|((&qi, planned), r)| (qi, planned.predicted_recall, r))
             .collect(),
-        unit_stages,
+        run,
         delegate_pass_run: pass_run,
         delegate_from_cache: from_cache,
     }
 }
 
-/// Compose a row unit's stage report: the members' row-block schedules
-/// run back-to-back on the worker's device, so each member's stages are
-/// shifted onto the unit's serial timeline, re-tagged with the worker, and
-/// the per-kind calibration is refit over the composition. Dependencies
-/// stay within each member (row-block graphs are self-contained), only
-/// re-indexed into the composed stage list.
-fn splice_row_stages(members: &[StageReport], device: usize) -> StageReport {
-    let mut stages: Vec<ExecutedStage> = Vec::new();
-    let mut offset_ms = 0.0f64;
-    let mut measured_offset_ms = 0.0f64;
-    for member in members {
-        let base_idx = stages.len();
-        for inner in &member.stages {
-            stages.push(ExecutedStage {
-                kind: inner.kind,
-                label: inner.label.clone(),
-                resource: Resource::Compute(device),
-                deps: inner.deps.iter().map(|d| d + base_idx).collect(),
-                start_ms: inner.start_ms + offset_ms,
-                end_ms: inner.end_ms + offset_ms,
-                measured_start_ms: inner.measured_start_ms + measured_offset_ms,
-                measured_end_ms: inner.measured_end_ms + measured_offset_ms,
-                stats: inner.stats,
-            });
-        }
-        offset_ms += member.makespan_ms;
-        measured_offset_ms += member.measured_makespan_ms;
+/// Run one row-matrix unit's typed half as one stage graph: every member
+/// reinterprets the corpus as its own `rows × cols` matrix, one block per
+/// member, and all members' blocks are appended to the graph on the
+/// worker's device.
+fn run_rows_typed<K: TopKKey>(
+    worker: &Worker<'_>,
+    data: &[K],
+    unit: &RowUnit,
+    row_queries: &[RowQuery],
+) -> (Vec<RowTopKResult<K>>, UnitRun) {
+    let chains: Vec<RowChain<'_, K>> = unit
+        .members
+        .iter()
+        .map(|&qi| {
+            let q = &row_queries[qi];
+            let cfg = DrTopKConfig {
+                inner: q.inner,
+                mode: q.mode,
+                ..worker.base.clone()
+            };
+            RowChain::new(RowMatrix::new(data, q.rows, q.cols), &q.ks, &cfg, q.rows)
+        })
+        .collect();
+    let placement = [(worker.device, Resource::Compute(worker.device_idx))];
+    let mut graph: StageGraph<'_, ()> = StageGraph::new();
+    for chain in &chains {
+        chain.append(&mut graph, &placement, &[]);
     }
-    let calibration = CalibrationFit::fit(&stages);
-    let report = StageReport {
-        stages,
-        makespan_ms: offset_ms,
-        measured_makespan_ms: measured_offset_ms,
-        calibration,
-    };
-    #[cfg(debug_assertions)]
-    {
-        let diags = report.verify();
-        assert!(
-            diags.is_empty(),
-            "spliced row unit stage report failed verification:\n{}",
-            diags
-                .iter()
-                .map(|d| format!("  {d}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
-    report
+    let run = worker.run(graph);
+    let results = chains
+        .into_iter()
+        .map(|chain| chain.into_result(&run.stages))
+        .collect();
+    (results, run)
 }
 
-/// Run one row-matrix unit on its assigned worker device: each member
-/// reinterprets the corpus as its own `rows × cols` matrix and runs the
-/// row-block stage graph through [`topk_rows_on`] (direction dispatched
-/// through the order-reversing [`Desc`] adapter, like vector queries).
+/// Direction dispatch around [`run_rows_typed`] (smallest-direction units
+/// run through the order-reversing [`Desc`] adapter, like vector queries).
 fn run_rows_unit<K: TopKKey>(
-    device: &Device,
-    device_idx: usize,
+    worker: &Worker<'_>,
     data: &[K],
     unit_idx: usize,
     unit: &RowUnit,
     row_queries: &[RowQuery],
-    base: &DrTopKConfig,
 ) -> RowsOutcome<K> {
-    let mut member_reports: Vec<StageReport> = Vec::with_capacity(unit.members.len());
-    let mut results: Vec<(usize, RowQueryResult<K>)> = Vec::with_capacity(unit.members.len());
-    let mut delegate_passes = 0usize;
-    for &qi in &unit.members {
-        let q = &row_queries[qi];
-        let cfg = DrTopKConfig {
-            inner: q.inner,
-            mode: q.mode,
-            ..base.clone()
-        };
-        let matrix = RowMatrix::new(data, q.rows, q.cols);
-        let devices = [device];
-        let r: RowTopKResult<K> = match q.direction {
-            Direction::Largest => {
-                topk_rows_on(&devices, matrix, &q.ks, &cfg, None, Executor::Threaded)
-            }
-            Direction::Smallest => topk_rows_on(
-                &devices,
-                matrix.as_desc(),
-                &q.ks,
-                &cfg,
-                None,
-                Executor::Threaded,
+    let (results, run) = match unit.direction {
+        Direction::Largest => run_rows_typed::<K>(worker, data, unit, row_queries),
+        Direction::Smallest => {
+            let (res, run) = run_rows_typed::<Desc<K>>(worker, as_desc(data), unit, row_queries);
+            (
+                res.into_iter().map(RowTopKResult::into_native).collect(),
+                run,
             )
-            .into_native(),
-        };
-        delegate_passes += r.delegate_passes;
-        results.push((
-            qi,
-            RowQueryResult {
+        }
+    };
+    let delegate_passes = results.iter().map(|r| r.delegate_passes).sum();
+    let results = unit
+        .members
+        .iter()
+        .zip(results)
+        .map(|(&qi, r)| {
+            let result = RowQueryResult {
                 rows: r.rows,
                 time_ms: r.time_ms,
                 stats: r.stats,
@@ -486,26 +374,28 @@ fn run_rows_unit<K: TopKKey>(
                 num_blocks: r.num_blocks,
                 predicted_recall: r.predicted_recall,
                 unit: unit_idx,
-            },
-        ));
-        member_reports.push(r.stages);
-    }
+            };
+            (qi, result)
+        })
+        .collect();
     RowsOutcome {
         unit: unit_idx,
         results,
-        unit_stages: splice_row_stages(&member_reports, device_idx),
+        run,
         delegate_passes,
     }
 }
 
 /// Execute a plan over the cluster.
 ///
-/// When `sink` is present, every unit's composed stage schedule is
-/// re-emitted as trace spans on the *modeled* batch timeline: fused units
-/// at their deterministic list-schedule offsets (re-tagged with the modeled
-/// worker's device so trace tracks match the schedule the report
-/// describes), sharded runs after the pool phase. Tracing clones the unit
-/// reports; with no sink attached nothing extra is allocated.
+/// When `sink` is present, every unit's stage schedule is re-emitted as
+/// trace spans on the batch timeline. Modeled intervals go where the
+/// modeled schedule puts them: pool units at their deterministic
+/// list-schedule offsets (re-tagged with the modeled worker's device so
+/// trace tracks match the schedule the report describes), sharded runs
+/// after the pool phase. Measured intervals go where the host ran them:
+/// at each unit's real host start since the batch started. Tracing clones
+/// the unit reports; with no sink attached nothing extra is allocated.
 pub(crate) fn execute_plan<K: TopKKey>(
     cluster: &GpuCluster,
     batch: &QueryBatch<'_, K>,
@@ -525,9 +415,17 @@ pub(crate) fn execute_plan<K: TopKKey>(
     // units from a shared queue (dynamic load balance in host wall-clock).
     // The *modeled* makespan is computed afterwards by deterministic list
     // scheduling, so reports do not vary with host-thread timing.
+    let epoch = Instant::now();
     let next_unit = AtomicUsize::new(0);
     let per_device = cluster
         .try_run_on_all(|device_idx, device| {
+            let worker = Worker {
+                device,
+                device_idx,
+                base,
+                cache,
+                epoch,
+            };
             let mut outcomes: Vec<PoolOutcome<K>> = Vec::new();
             loop {
                 let slot = next_unit.fetch_add(1, Ordering::Relaxed);
@@ -553,27 +451,22 @@ pub(crate) fn execute_plan<K: TopKKey>(
                         let corpus = &batch.corpora()[unit.corpus];
                         check_capacity(unit.corpus, corpus.data.len())?;
                         outcomes.push(PoolOutcome::Fused(run_fused_unit(
-                            device,
-                            device_idx,
+                            &worker,
                             corpus.data,
                             corpus.id,
                             unit_idx,
                             unit,
-                            base,
-                            cache,
                         )));
                     }
                     PlanUnit::Rows(unit) => {
                         let corpus = &batch.corpora()[unit.corpus];
                         check_capacity(unit.corpus, corpus.data.len())?;
                         outcomes.push(PoolOutcome::Rows(run_rows_unit(
-                            device,
-                            device_idx,
+                            &worker,
                             corpus.data,
                             unit_idx,
                             unit,
                             batch.row_queries(),
-                            base,
                         )));
                     }
                     PlanUnit::Sharded(_) => {
@@ -598,84 +491,63 @@ pub(crate) fn execute_plan<K: TopKKey>(
     let mut delegate_passes_saved = 0usize;
     let mut delegate_cache = CacheReport::default();
     let mut residuals = ResidualAccum::default();
-    // Modeled cost of each fused unit, in unit order, for the deterministic
-    // makespan computation below; the stage schedule rides along (cloned)
-    // only when a trace sink wants spans.
-    let mut unit_costs: Vec<(usize, f64, Option<StageReport>)> = Vec::new();
+    // Modeled cost of each pool unit, in unit order, for the deterministic
+    // makespan computation below; the executed unit rides along only when
+    // a trace sink wants spans.
+    let mut unit_costs: Vec<(usize, f64, Option<UnitRun>)> = Vec::new();
 
-    for outcomes in per_device {
-        for pool_outcome in outcomes {
-            let outcome = match pool_outcome {
-                PoolOutcome::Fused(outcome) => outcome,
-                PoolOutcome::Rows(outcome) => {
-                    // One instrumentation point for row units too: phases,
-                    // counters and the unit's modeled cost come off the
-                    // composed member schedules.
-                    let unit_phases = outcome.unit_stages.phase_breakdown();
-                    phase_ms.delegate_ms += unit_phases.delegate_ms;
-                    phase_ms.first_topk_ms += unit_phases.first_topk_ms;
-                    phase_ms.concat_ms += unit_phases.concat_ms;
-                    phase_ms.second_topk_ms += unit_phases.second_topk_ms;
-                    phase_ms.transfer_ms += unit_phases.transfer_ms;
-                    stats += outcome.unit_stages.stats();
-                    residuals.absorb(&outcome.unit_stages.calibration);
-                    delegate_passes_run += outcome.delegate_passes;
-                    unit_costs.push((
-                        outcome.unit,
-                        outcome.unit_stages.makespan_ms,
-                        sink.map(|_| outcome.unit_stages.clone()),
-                    ));
-                    for (query_idx, result) in outcome.results {
-                        row_results[query_idx] = Some(result);
+    for pool_outcome in per_device.into_iter().flatten() {
+        let (unit_idx, run) = match pool_outcome {
+            PoolOutcome::Fused(outcome) => {
+                let PlanUnit::Fused(unit) = &plan.units[outcome.unit] else {
+                    unreachable!()
+                };
+                let delegate_users = unit.planned.iter().filter(|p| p.use_delegates).count();
+                let cacheable = batch.corpora()[unit.corpus].id.is_some();
+                if outcome.delegate_pass_run {
+                    delegate_passes_run += 1;
+                    delegate_passes_saved += delegate_users.saturating_sub(1);
+                    if cacheable {
+                        delegate_cache.misses += 1;
                     }
-                    continue;
+                } else if outcome.delegate_from_cache {
+                    delegate_passes_saved += delegate_users;
+                    delegate_cache.hits += 1;
                 }
-            };
-            let PlanUnit::Fused(unit) = &plan.units[outcome.unit] else {
-                unreachable!()
-            };
-            // One instrumentation point: the unit's composed stage
-            // schedule carries the shared pass, every member phase (and
-            // any member-level pass rebuild), so phases, counters and the
-            // unit's modeled cost are all read off it.
-            let unit_phases = outcome.unit_stages.phase_breakdown();
-            phase_ms.delegate_ms += unit_phases.delegate_ms;
-            phase_ms.first_topk_ms += unit_phases.first_topk_ms;
-            phase_ms.concat_ms += unit_phases.concat_ms;
-            phase_ms.second_topk_ms += unit_phases.second_topk_ms;
-            phase_ms.transfer_ms += unit_phases.transfer_ms;
-            stats += outcome.unit_stages.stats();
-            residuals.absorb(&outcome.unit_stages.calibration);
-            unit_costs.push((
-                outcome.unit,
-                outcome.unit_stages.makespan_ms,
-                sink.map(|_| outcome.unit_stages.clone()),
-            ));
-
-            let delegate_users = unit.planned.iter().filter(|p| p.use_delegates).count();
-            let cacheable = batch.corpora()[unit.corpus].id.is_some();
-            if outcome.delegate_pass_run {
-                delegate_passes_run += 1;
-                delegate_passes_saved += delegate_users.saturating_sub(1);
-                if cacheable {
-                    delegate_cache.misses += 1;
+                for (query_idx, predicted_recall, r) in outcome.results {
+                    results[query_idx] = Some(QueryResult {
+                        values: r.values,
+                        kth_value: r.kth_value,
+                        time_ms: r.time_ms,
+                        stats: r.stats,
+                        breakdown: r.breakdown,
+                        predicted_recall,
+                        path: ExecPath::Fused { unit: outcome.unit },
+                    });
                 }
-            } else if outcome.delegate_from_cache {
-                delegate_passes_saved += delegate_users;
-                delegate_cache.hits += 1;
+                (outcome.unit, outcome.run)
             }
-            for (query_idx, predicted_recall, r) in outcome.results {
-                results[query_idx] = Some(QueryResult {
-                    values: r.values,
-                    kth_value: r.kth_value,
-                    time_ms: r.time_ms,
-                    stats: r.stats,
-                    breakdown: r.breakdown,
-                    predicted_recall,
-                    path: ExecPath::Fused { unit: outcome.unit },
-                });
+            PoolOutcome::Rows(outcome) => {
+                delegate_passes_run += outcome.delegate_passes;
+                for (query_idx, result) in outcome.results {
+                    row_results[query_idx] = Some(result);
+                }
+                (outcome.unit, outcome.run)
             }
-        }
+        };
+        // One instrumentation point: the unit graph's schedule carries the
+        // shared pass and every member's stages (and any member-level pass
+        // rebuild), so phases, counters and the unit's modeled cost are all
+        // read off it.
+        let unit_phases = run.stages.phase_breakdown();
+        phase_ms.delegate_ms += unit_phases.delegate_ms;
+        phase_ms.first_topk_ms += unit_phases.first_topk_ms;
+        phase_ms.concat_ms += unit_phases.concat_ms;
+        phase_ms.second_topk_ms += unit_phases.second_topk_ms;
+        phase_ms.transfer_ms += unit_phases.transfer_ms;
+        stats += run.stages.stats();
+        residuals.absorb(&run.stages.calibration);
+        unit_costs.push((unit_idx, run.stages.makespan_ms, sink.map(|_| run)));
     }
 
     // Deterministic modeled makespan of the pool phase: list-schedule the
@@ -692,15 +564,16 @@ pub(crate) fn execute_plan<K: TopKKey>(
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))
             .map(|(i, _)| i)
             .expect("cluster has devices");
-        if let (Some(sink), Some(report)) = (sink, traced) {
-            // Replay the unit's stages on the modeled timeline: shifted to
+        if let (Some(sink), Some(run)) = (sink, traced) {
+            // Replay the unit's stages on the batch timeline: modeled at
             // this worker's start offset and re-tagged with the *modeled*
-            // worker (the wall-clock queue may have used a different one).
-            let mut replay = report.clone();
+            // worker (the wall-clock queue may have used a different one),
+            // measured at the unit's real host start.
+            let mut replay = run.stages.clone();
             for s in &mut replay.stages {
                 s.resource = Resource::Compute(earliest);
             }
-            replay.record_shifted(sink, worker_loads[earliest]);
+            replay.record_shifted(sink, worker_loads[earliest], run.host_start_ms);
         }
         worker_loads[earliest] += cost;
         worker_units[earliest] += 1;
@@ -754,6 +627,7 @@ pub(crate) fn execute_plan<K: TopKKey>(
                 path: q.path,
                 ..base.clone()
             };
+            let host_start_ms = epoch.elapsed().as_secs_f64() * 1e3;
             let d = match q.direction {
                 Direction::Largest => distributed_dr_topk(cluster, corpus.data, q.k, &cfg),
                 Direction::Smallest => {
@@ -764,7 +638,8 @@ pub(crate) fn execute_plan<K: TopKKey>(
                 // Sharded runs own the whole cluster after the pool phase;
                 // their spans keep the distributed resource tracks
                 // (compute / copy lanes / interconnect per device).
-                d.stages.record_shifted(sink, pool_ms + sharded_ms);
+                d.stages
+                    .record_shifted(sink, pool_ms + sharded_ms, host_start_ms);
             }
             residuals.absorb(&d.stages.calibration);
             sharded_ms += d.total_ms;

@@ -61,12 +61,17 @@
 //!   unchanged corpora entirely, so a warm engine answers a repeated query
 //!   without ever re-reading the corpus at full length.
 //!
-//! Correctness is anchored by construction: fused members run the ordinary
-//! planned pipeline ([`drtopk_core::dr_topk_planned`]) against the shared
-//! delegate vector, so every result is bit-identical to an independent
+//! Correctness is anchored by construction: every fused member is the same
+//! [`drtopk_core::QueryChain`] the standalone planned pipeline
+//! ([`drtopk_core::dr_topk_planned`]) runs, appended to its unit's one
+//! stage graph after the shared delegate pass, and every row query is the
+//! same [`drtopk_core::RowChain`] [`drtopk_core::topk_rows_on`] runs. So
+//! every result is bit-identical to an independent
 //! [`drtopk_core::dr_topk`] / [`drtopk_core::dr_topk_min`] call — the
 //! workspace property tests pin this for all six key types, mixed
-//! directions, duplicate queries and degenerate `k`.
+//! directions, duplicate queries and degenerate `k` — and the unit graph's
+//! report is the unit's schedule, checked by the executor's debug-build
+//! verifier like any other graph.
 //!
 //! ## Quickstart
 //!

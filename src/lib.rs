@@ -60,9 +60,9 @@ pub use topk_datagen as datagen;
 pub mod prelude {
     pub use bmw_baseline::{BmwIndex, BmwStats};
     pub use drtopk_core::{
-        dr_topk, dr_topk_approx, dr_topk_min, dr_topk_with_stats, measured_recall, topk_rows,
-        topk_rows_min, DrTopKConfig, DrTopKResult, InnerAlgorithm, Mode, RecallTarget, RowK,
-        RowMatrix, RowTopKResult,
+        dr_topk, dr_topk_approx, dr_topk_min, measured_recall, topk_rows, topk_rows_min,
+        DrTopKConfig, DrTopKResult, InnerAlgorithm, Mode, RecallTarget, RowK, RowMatrix,
+        RowTopKResult,
     };
     pub use drtopk_engine::{QueryBatch, RowQuery, TopKEngine};
     pub use drtopk_obs::{MetricName, MetricsRegistry, TraceRecorder, TraceSink};

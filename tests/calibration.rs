@@ -11,8 +11,7 @@
 //!   host thread interleaving.
 
 use drtopk::core::{
-    distributed_dr_topk_executor, dr_topk_approx, dr_topk_with_stats, DrTopKConfig, Executor,
-    ReloadSchedule,
+    distributed_dr_topk_executor, dr_topk, dr_topk_approx, DrTopKConfig, Executor, ReloadSchedule,
 };
 use drtopk::prelude::*;
 use drtopk::sim::{GpuCluster, InterconnectSpec};
@@ -129,7 +128,7 @@ fn repeated_threaded_runs_are_bit_identical() {
     let data = topk_datagen::customized(1 << 15, 77);
     let k = 96;
 
-    let exact0 = dr_topk_with_stats(&dev, &data, k, &cfg);
+    let exact0 = dr_topk(&dev, &data, k, &cfg);
     let approx0 = dr_topk_approx(&dev, &data, k, 0.9, &cfg);
     let dist0 = {
         let c = single_threaded_cluster(4, 1 << 13);
@@ -143,7 +142,7 @@ fn repeated_threaded_runs_are_bit_identical() {
         )
     };
     for run in 1..4 {
-        let exact = dr_topk_with_stats(&dev, &data, k, &cfg);
+        let exact = dr_topk(&dev, &data, k, &cfg);
         assert_eq!(exact.values, exact0.values, "exact values, run {run}");
         assert_eq!(
             exact.stages.deterministic_summary(),

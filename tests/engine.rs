@@ -326,3 +326,194 @@ fn engine_delegate_cache_capacity_zero_disables_caching() {
     // tuning plans still memoize — they are shape-keyed, not data-keyed
     assert_eq!(again.report.plan_cache.hits, 1);
 }
+
+/// Relative agreement for modeled times that may only differ by float
+/// rounding (a member's time read off a longer schedule).
+fn close_rel(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-300)
+}
+
+fn assert_breakdowns_close(
+    got: &drtopk::core::PhaseBreakdown,
+    want: &drtopk::core::PhaseBreakdown,
+    what: &str,
+) {
+    for ((name, g), (_, w)) in got.entries().iter().zip(want.entries()) {
+        assert!(close_rel(*g, w), "{what}: {name} {g} vs {w}");
+    }
+}
+
+/// Characterization of one traced mixed batch: an exact fused unit of three
+/// members, an approximate member, a radix-path member and a row-matrix
+/// query. Every result equals the standalone run of the same plan (against
+/// the same shared delegate vector), and every unit's span list — kind,
+/// label, track, dependencies, order — is pinned.
+#[test]
+fn traced_mixed_batch_matches_standalone_runs_and_pinned_spans() {
+    use drtopk::core::{
+        build_delegate_vector, dr_topk_planned, optimal_approx_tuning, topk_rows_on, Executor,
+        PathHint, PlannedQuery, RecallTarget,
+    };
+    use drtopk::engine::RowQuery;
+    use std::sync::Arc;
+
+    let eng = engine(2);
+    let n = 1 << 16;
+    let data = topk_datagen::uniform(n, 0xc4a2);
+    let (rows, cols) = (16usize, 1024usize);
+    let matrix_data = topk_datagen::uniform(rows * cols, 0x20f5);
+    let exact_ks = [8usize, 64, 256];
+    let (approx_k, target) = (64usize, 0.95);
+    let radix_k = 4096usize;
+
+    let mut batch = QueryBatch::new();
+    let c = batch.add_corpus(1, &data);
+    let m = batch.add_corpus(2, &matrix_data);
+    for &k in &exact_ks {
+        batch.push_topk_path(c, k, PathHint::Delegate);
+    }
+    batch.push_topk_approx(c, approx_k, target);
+    batch.push_topk_path(c, radix_k, PathHint::Radix);
+    batch.push_rows(m, rows, cols, RowK::Uniform(4));
+
+    let rec = Arc::new(TraceRecorder::deterministic());
+    eng.attach_recorder(rec.clone());
+    let out = eng.run_batch(&batch).expect("batch must execute");
+    eng.detach_recorder();
+
+    let device = Device::with_host_threads(DeviceSpec::v100s(), 2);
+    let base = DrTopKConfig::default();
+    let check = |qi: usize, want: &DrTopKResult<u32>| {
+        let got = &out.results[qi];
+        assert_eq!(got.values, want.values, "query {qi} values");
+        assert_eq!(got.kth_value, want.kth_value, "query {qi} kth");
+        assert_eq!(got.stats, want.stats, "query {qi} stats");
+        assert!(
+            close_rel(got.time_ms, want.time_ms),
+            "query {qi} time {} vs {}",
+            got.time_ms,
+            want.time_ms
+        );
+        assert_breakdowns_close(&got.breakdown, &want.breakdown, &format!("query {qi}"));
+    };
+
+    // The exact unit: one shared pass at the group's Rule 4 α.
+    let k_max = *exact_ks.iter().max().unwrap();
+    let alpha = base.resolve_alpha(n, k_max);
+    let shared = build_delegate_vector(&device, &data, alpha, base.beta, base.construction);
+    let member = DrTopKConfig {
+        alpha: Some(alpha),
+        path: PathHint::Delegate,
+        ..base.clone()
+    };
+    for (qi, &k) in exact_ks.iter().enumerate() {
+        let planned = PlannedQuery::plan(n, k, &member);
+        check(
+            qi,
+            &dr_topk_planned(&device, &data, Some(&shared), &planned),
+        );
+    }
+
+    // The approximate unit: the pass is sized by the group tuning's budget.
+    let tuning = optimal_approx_tuning(n, approx_k, RecallTarget::from_fraction(target))
+        .expect("feasible approximate shape");
+    let approx_cfg = DrTopKConfig {
+        alpha: Some(tuning.alpha),
+        path: PathHint::Delegate,
+        ..DrTopKConfig::approx(target)
+    };
+    let planned = PlannedQuery::plan(n, approx_k, &approx_cfg);
+    let pass_beta = tuning.budget.max(planned.config.beta);
+    let candidates =
+        build_delegate_vector(&device, &data, tuning.alpha, pass_beta, base.construction);
+    check(
+        3,
+        &dr_topk_planned(&device, &data, Some(&candidates), &planned),
+    );
+
+    // The radix unit has no pass at all.
+    let radix_cfg = DrTopKConfig {
+        alpha: Some(base.resolve_alpha(n, radix_k)),
+        path: PathHint::Radix,
+        ..base.clone()
+    };
+    let planned = PlannedQuery::plan(n, radix_k, &radix_cfg);
+    check(4, &dr_topk_planned(&device, &data, None, &planned));
+
+    // The row query: the row-block graph on one device.
+    let q: &RowQuery = &batch.row_queries()[0];
+    let row_cfg = DrTopKConfig {
+        inner: q.inner,
+        mode: q.mode,
+        ..base.clone()
+    };
+    let want = topk_rows_on(
+        &[&device],
+        RowMatrix::new(&matrix_data, rows, cols),
+        &q.ks,
+        &row_cfg,
+        None,
+        Executor::Threaded,
+    );
+    let got = &out.row_results[0];
+    for (r, (g, w)) in got.rows.iter().zip(&want.rows).enumerate() {
+        assert_eq!(g.values, w.values, "row {r}");
+        assert_eq!(g.kth_value, w.kth_value, "row {r}");
+    }
+    assert_eq!(got.stats, want.stats);
+    assert!(close_rel(got.time_ms, want.time_ms));
+    assert_breakdowns_close(&got.breakdown, &want.breakdown, "row query");
+
+    // One span list per unit, in unit order; `seq` restarts at every unit.
+    let spans = rec.spans();
+    let mut units: Vec<Vec<String>> = Vec::new();
+    for s in &spans {
+        if s.seq == 0 {
+            units.push(Vec::new());
+        }
+        units
+            .last_mut()
+            .unwrap()
+            .push(format!("{} '{}' {} {:?}", s.kind, s.label, s.track, s.deps));
+    }
+    let chain = |first: usize, track: &str| {
+        vec![
+            format!("first_topk 'first_topk' {track} [0]"),
+            format!("concatenate 'concatenate' {track} [{first}]"),
+            format!("second_topk 'second_topk' {track} [{}]", first + 1),
+        ]
+    };
+    let mut exact_unit =
+        vec!["delegate_construction 'shared delegate pass' compute[0] []".to_string()];
+    for first in [1, 4, 7] {
+        exact_unit.extend(chain(first, "compute[0]"));
+    }
+    let mut radix_unit = Vec::new();
+    for pass in 0..4 {
+        let hist_deps = if pass == 0 {
+            "[]".to_string()
+        } else {
+            format!("[{}]", 2 * pass - 1)
+        };
+        radix_unit.push(format!(
+            "radix_histogram 'radix_histogram_pass{pass}' compute[1] {hist_deps}"
+        ));
+        radix_unit.push(format!(
+            "radix_refine 'radix_refine_pass{pass}' compute[1] [{}]",
+            2 * pass
+        ));
+    }
+    radix_unit.push("candidate_gather 'candidate_gather' compute[1] [7]".to_string());
+    radix_unit.push("radix_select 'radix_select' compute[1] [8]".to_string());
+    let approx_unit = vec![
+        "bucket_topk_prime 'shared delegate pass' compute[1] []".to_string(),
+        "second_topk 'second_topk' compute[1] [0]".to_string(),
+    ];
+    let rows_unit = vec![
+        "delegate_construction 'rows 0..16 fused pass' compute[1] []".to_string(),
+        "first_topk 'rows 0..16 first top-k' compute[1] [0]".to_string(),
+        "concatenate 'rows 0..16 concatenate' compute[1] [1]".to_string(),
+        "second_topk 'rows 0..16 second top-k' compute[1] [2]".to_string(),
+    ];
+    assert_eq!(units, vec![exact_unit, radix_unit, approx_unit, rows_unit]);
+}

@@ -257,3 +257,58 @@ fn engine_metrics_snapshot_round_trips() {
         Some(snap.sustained_qps.to_bits())
     );
 }
+
+/// The engine places every unit's *measured* spans at the unit's real host
+/// start within the batch: sharded queries run after the whole worker
+/// pool, so every sharded span starts after every pool span ended.
+#[test]
+fn engine_trace_places_measured_spans_on_the_batch_host_timeline() {
+    use drtopk::engine::EngineConfig;
+
+    let engine = TopKEngine::with_config(
+        GpuCluster::homogeneous(2, DeviceSpec::v100s()),
+        EngineConfig {
+            shard_capacity: Some(1 << 15),
+            ..EngineConfig::default()
+        },
+    );
+    let pooled = topk_datagen::uniform(1 << 15, 3);
+    let sharded = topk_datagen::uniform(1 << 17, 4);
+    let mut batch = QueryBatch::new();
+    let p = batch.add_corpus(1, &pooled);
+    let s = batch.add_corpus(2, &sharded);
+    for k in [16usize, 256] {
+        batch.push_topk(p, k);
+    }
+    batch.push_topk_approx(p, 64, 0.95);
+    batch.push_topk(s, 64);
+    let rec = Arc::new(TraceRecorder::new());
+    engine.attach_recorder(rec.clone());
+    let out = engine.run_batch(&batch).unwrap();
+    engine.detach_recorder();
+    assert!(out.report.fused_units >= 2, "two pool units");
+    assert_eq!(out.report.sharded_queries, 1);
+
+    let is_sharded = |kind: &str| {
+        matches!(
+            kind,
+            "chunk_load" | "local_topk" | "local_merge" | "gather" | "final_topk"
+        )
+    };
+    let spans = rec.spans();
+    let pool_end = spans
+        .iter()
+        .filter(|s| !is_sharded(&s.kind))
+        .map(|s| s.measured_end_ms)
+        .fold(f64::NEG_INFINITY, f64::max);
+    let sharded_spans: Vec<_> = spans.iter().filter(|s| is_sharded(&s.kind)).collect();
+    assert!(pool_end.is_finite() && !sharded_spans.is_empty());
+    for s in sharded_spans {
+        assert!(
+            s.measured_start_ms >= pool_end,
+            "sharded span '{}' starts at {} ms, before the pool's last span ended at {pool_end} ms",
+            s.label,
+            s.measured_start_ms
+        );
+    }
+}

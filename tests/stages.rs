@@ -10,8 +10,7 @@ mod common;
 use common::{bits, cluster, device, test_executor};
 use drtopk::core::{
     as_desc, distributed_dr_topk, distributed_dr_topk_executor, distributed_dr_topk_scheduled,
-    dr_topk_min, dr_topk_with_stats, DrTopKConfig, ReloadSchedule, Resource, StageKind,
-    TransferLane,
+    dr_topk, dr_topk_min, DrTopKConfig, ReloadSchedule, Resource, StageKind, TransferLane,
 };
 use drtopk::prelude::*;
 use proptest::prelude::*;
@@ -32,7 +31,7 @@ fn assert_stage_execution_matches_reference<K: TopKKey>(data: &[K], k: usize, la
 
     // In-core single-device pipeline.
     let in_core = if largest {
-        dr_topk_with_stats(&dev, data, k, &cfg)
+        dr_topk(&dev, data, k, &cfg)
     } else {
         dr_topk_min(&dev, data, k, &cfg)
     };
