@@ -292,8 +292,9 @@ struct DistCtx<K> {
 ///
 /// Results and every modeled report field are bit-identical across
 /// executors; [`Executor::Threaded`] (the default of every other entry
-/// point) additionally makes host wall-clock track the modeled makespan,
-/// which the calibration acceptance test pins against [`Executor::Serial`].
+/// point) additionally overlaps independent stages in host wall-clock as
+/// the modeled schedule does, which `tests/executor.rs` pins against
+/// [`Executor::Serial`].
 pub fn distributed_dr_topk_executor<K: TopKKey>(
     cluster: &GpuCluster,
     data: &[K],

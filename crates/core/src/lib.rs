@@ -52,7 +52,6 @@
 #![deny(missing_docs)]
 
 pub mod approx;
-pub mod calibrate;
 pub mod concat;
 pub mod delegate;
 pub mod distributed;
@@ -67,7 +66,6 @@ pub mod tuning;
 pub mod verify;
 
 pub use approx::{expected_recall, measured_recall, required_budget, Mode, RecallTarget};
-pub use calibrate::{CalibrationFit, KindFit};
 pub use concat::{concatenate, Concatenated};
 pub use delegate::{build_delegate_vector, ConstructionMethod, DelegateVector};
 pub use distributed::{
@@ -100,6 +98,5 @@ pub use tuning::{
     predicted_approx_cost, predicted_cost, radix_predicted_cost,
     radix_predicted_cost_with_survival, rule4_alpha, ApproxTuning, ChosenPath, PathHint,
     PredictedCost, RadixPredictedCost, PAPER_RULE4_CONST, RADIX_DIGIT_SURVIVAL,
-    RADIX_MODEL_CALIBRATION,
 };
 pub use verify::{verify_specs, Diagnostic, DiagnosticCode, StageSpec, VerifyOptions};

@@ -9,8 +9,8 @@
 //!
 //! The pipeline promotes the out-of-place radix baseline
 //! ([`topk_baselines::radix_topk`]) into first-class stages so the
-//! executor, verifier, calibrator and observability layers see it like any
-//! other schedule:
+//! executor, verifier and observability layers see it like any other
+//! schedule:
 //!
 //! * [`StageKind::RadixHistogram`] — one per digit pass: histogram the
 //!   surviving candidates by their current 8-bit digit (global atomics,

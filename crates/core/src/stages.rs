@@ -36,9 +36,9 @@
 //! [`StageReport::deterministic_summary`]). *Measured* milliseconds are host
 //! wall-clock timestamps taken around each closure
 //! ([`ExecutedStage::measured_start_ms`] / [`ExecutedStage::measured_end_ms`],
-//! [`StageReport::measured_makespan_ms`]) and vary run to run; the
-//! [`crate::calibrate`] module regresses measured against modeled time per
-//! [`StageKind`] so benches can print the two side by side.
+//! [`StageReport::measured_makespan_ms`]) and vary run to run; benches and
+//! the engine's `stage_host_over_modeled` gauge print the two side by side
+//! per [`StageKind`].
 //!
 //! Because stage closures run concurrently, they take `&C` (not `&mut C`)
 //! and must be `Send`; the caller partitions or synchronizes the context —
@@ -47,10 +47,9 @@
 //!
 //! The executor is also the one instrumentation point: the returned
 //! [`StageReport`] carries every executed stage's interval, the modeled
-//! makespan, the compute/transfer split, the overlap efficiency, the
-//! per-kind calibration fit, and a [`PhaseBreakdown`] derived from the
-//! stage kinds — the pipeline, approximate, distributed and engine reports
-//! are all views of it.
+//! makespan, the compute/transfer split, the overlap efficiency and a
+//! [`PhaseBreakdown`] derived from the stage kinds — the pipeline,
+//! approximate, distributed and engine reports are all views of it.
 
 // Approved `std::sync` lock holder (see clippy.toml + ARCHITECTURE.md):
 // the executor's slot table is the synchronization primitive everything
@@ -66,7 +65,6 @@ use std::time::Instant;
 use drtopk_obs::{EventKind, ExecEvent, SpanRecord, TraceSink};
 use gpu_sim::{KernelStats, StreamSet};
 
-use crate::calibrate::CalibrationFit;
 use crate::pipeline::PhaseBreakdown;
 use crate::verify::{verify_specs, Diagnostic, StageSpec, VerifyOptions};
 
@@ -843,12 +841,10 @@ fn build_report(metas: Vec<StageMeta>, records: Vec<RunRecord>) -> StageReport {
         "modeled makespan ({makespan_ms} ms) must never exceed the serialized cost \
          ({serial_ms} ms); overlap can only hide time"
     );
-    let calibration = CalibrationFit::fit(&executed);
     StageReport {
         stages: executed,
         makespan_ms,
         measured_makespan_ms,
-        calibration,
     }
 }
 
@@ -897,8 +893,7 @@ impl ExecutedStage {
 ///
 /// Modeled fields (`makespan_ms`, per-stage `start_ms`/`end_ms`, stats,
 /// everything derived from them) are deterministic; the `measured_*`
-/// fields and [`StageReport::calibration`] reflect host wall-clock and
-/// vary run to run.
+/// fields reflect host wall-clock and vary run to run.
 #[derive(Debug, Clone, Default)]
 pub struct StageReport {
     /// Every executed stage, in insertion (= replay) order.
@@ -907,13 +902,11 @@ pub struct StageReport {
     /// resources. Deterministic.
     pub makespan_ms: f64,
     /// Measured end-to-end host wall-clock: the latest measured stage
-    /// completion. Under [`Executor::Threaded`] this tracks `makespan_ms`
-    /// through the calibration fit; under [`Executor::Serial`] it tracks
-    /// the serialized sum. **Not deterministic.**
+    /// completion. Under [`Executor::Threaded`] independent stages overlap
+    /// in host time as they do in the modeled schedule; under
+    /// [`Executor::Serial`] it tracks the serialized sum. **Not
+    /// deterministic.**
     pub measured_makespan_ms: f64,
-    /// Per-[`StageKind`] least-squares fit of measured against modeled
-    /// stage durations (see [`crate::calibrate`]). **Not deterministic.**
-    pub calibration: CalibrationFit,
 }
 
 impl StageReport {
@@ -1022,7 +1015,7 @@ impl StageReport {
     /// modeled makespan. Two runs of the same graph — under any executor,
     /// any thread count — must produce identical strings; the determinism
     /// CI step and the executor stress test diff exactly this. Measured
-    /// wall-clock and calibration fields are deliberately excluded.
+    /// wall-clock fields are deliberately excluded.
     pub fn deterministic_summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -1293,7 +1286,6 @@ mod tests {
         assert_eq!(report.overlap_efficiency(), 0.0);
         assert_eq!(report.measured_overlap_efficiency(), 0.0);
         assert!(report.stats().is_empty());
-        assert!(report.calibration.fits.is_empty());
         assert_eq!(report.phase_breakdown(), PhaseBreakdown::default());
     }
 
@@ -1608,7 +1600,6 @@ mod tests {
             }],
             makespan_ms: 1.0,
             measured_makespan_ms: 6.0,
-            calibration: CalibrationFit::default(),
         };
         assert_eq!(report.measured_serial_ms(), 1.0);
         assert_eq!(report.measured_hidden_ms(), 0.0);

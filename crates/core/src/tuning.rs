@@ -374,18 +374,6 @@ impl RadixPredictedCost {
 /// them back to the delegate path.
 pub const RADIX_DIGIT_SURVIVAL: f64 = 1.0 / 256.0;
 
-/// Multiplier [`choose_path`] applies to the modeled radix makespan before
-/// comparing it with the delegate model.
-///
-/// Both sides are expressed in modeled microseconds (global traffic over
-/// effective bandwidth plus per-kernel launch overhead), built from the
-/// same [`DeviceSpec`] constants the simulator charges — so after the
-/// sampled-filter optimisation the analytic crossover lands in the same
-/// inter-sample gap as the measured one (`large_k_sweep`) with no
-/// correction. The constant stays as the single re-tuning knob should the
-/// pipelines and the model drift apart again.
-pub const RADIX_MODEL_CALIBRATION: f64 = 1.0;
-
 /// Kernel launches the delegate pipeline issues, as charged by the modeled
 /// crossover: delegate-vector construction, the five-pass in-place first
 /// top-k, subrange concatenation, the five-pass second top-k, and the
@@ -518,10 +506,9 @@ pub fn estimate_radix_survival<K: TopKKey>(data: &[K]) -> f64 {
 /// pipeline itself would resolve) against
 /// [`radix_predicted_cost_with_survival`], both converted to modeled
 /// microseconds — global traffic over the device's effective bandwidth
-/// plus per-kernel launch overhead (`modeled_path_us`) — and the radix
-/// side scaled by [`RADIX_MODEL_CALIBRATION`]. Both models are built from
-/// the same per-device constants, so the crossover moves with the
-/// hardware profile. The delegate side grows like `√(n·k)` (concatenation
+/// plus per-kernel launch overhead (`modeled_path_us`). Both models are
+/// built from the same per-device constants, so the crossover moves with
+/// the hardware profile. The delegate side grows like `√(n·k)` (concatenation
 /// and second top-k at the shrinking Rule 4 subrange size) while the
 /// radix side is one input scan plus `O(k)`, so on well-distributed keys
 /// every device has a single crossover k; on low-survival-shrink
@@ -554,7 +541,7 @@ pub fn choose_path_with_survival(
         radix_model_launches(key_bits.div_ceil(8)),
         key_bytes,
         spec,
-    ) * RADIX_MODEL_CALIBRATION;
+    );
     if radix < delegate {
         ChosenPath::Radix
     } else {

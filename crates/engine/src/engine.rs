@@ -128,8 +128,9 @@ impl TopKEngine {
     }
 
     /// The engine's cumulative metrics registry (caches, latency
-    /// percentiles, worker occupancy, calibration drift). Always live —
-    /// updates are lock-free atomics and cost a few nanoseconds per batch.
+    /// percentiles, worker occupancy, per-kind host/modeled ratio). Always
+    /// live — updates are lock-free atomics and cost a few nanoseconds per
+    /// batch.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -305,8 +306,10 @@ impl TopKEngine {
             );
             m.set_worker_queue_depth(slot, exec.worker_units[slot] as f64);
         }
-        for &(kind, residual) in &exec.kind_residual_ms {
-            m.set_stage_residual_ms(kind.name(), residual);
+        for &(kind, measured_ms, modeled_ms) in &exec.kind_ms {
+            if modeled_ms > 0.0 {
+                m.set_stage_host_over_modeled(kind.name(), measured_ms / modeled_ms);
+            }
         }
 
         let report = EngineReport {

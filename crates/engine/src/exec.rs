@@ -24,9 +24,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use drtopk_core::{
-    as_desc, build_delegate_vector, capacity_in_keys, distributed_dr_topk, CalibrationFit,
-    DelegateVector, DrTopKConfig, DrTopKResult, PhaseBreakdown, QueryChain, Resource, RowChain,
-    RowMatrix, RowTopKResult, SharedDelegates, StageGraph, StageKind, StageOutcome, StageReport,
+    as_desc, build_delegate_vector, capacity_in_keys, distributed_dr_topk, DelegateVector,
+    DrTopKConfig, DrTopKResult, PhaseBreakdown, QueryChain, Resource, RowChain, RowMatrix,
+    RowTopKResult, SharedDelegates, StageGraph, StageKind, StageOutcome, StageReport,
 };
 use drtopk_obs::TraceSink;
 use gpu_sim::{Device, GpuCluster, KernelStats};
@@ -124,43 +124,21 @@ pub(crate) struct ExecOutput<K: TopKKey> {
     pub worker_loads: Vec<f64>,
     /// Fused units each pool worker executed under the list schedule.
     pub worker_units: Vec<usize>,
-    /// Per-[`StageKind`] modeled-vs-measured drift: the sample-weighted
-    /// mean absolute calibration residual across every unit and sharded
-    /// stage schedule of the batch.
-    pub kind_residual_ms: Vec<(StageKind, f64)>,
+    /// `(kind, Σ measured host ms, Σ modeled ms)` over every stage of every
+    /// unit and sharded run in the batch, one entry per kind that ran.
+    pub kind_ms: Vec<(StageKind, f64, f64)>,
 }
 
-/// Sample-weighted accumulator for per-kind calibration residuals.
-#[derive(Default)]
-struct ResidualAccum {
-    by_kind: Vec<(StageKind, f64, usize)>,
-}
-
-impl ResidualAccum {
-    fn absorb(&mut self, fit: &CalibrationFit) {
-        for f in &fit.fits {
-            if f.samples == 0 {
-                continue;
+/// Adds each of `report`'s stages to its kind's measured and modeled sums.
+fn add_kind_ms(kind_ms: &mut Vec<(StageKind, f64, f64)>, report: &StageReport) {
+    for s in &report.stages {
+        match kind_ms.iter_mut().find(|(k, _, _)| *k == s.kind) {
+            Some((_, measured, modeled)) => {
+                *measured += s.measured_ms();
+                *modeled += s.duration_ms();
             }
-            match self.by_kind.iter_mut().find(|(k, _, _)| *k == f.kind) {
-                Some((_, sum, n)) => {
-                    *sum += f.mean_abs_residual_ms * f.samples as f64;
-                    *n += f.samples;
-                }
-                None => self.by_kind.push((
-                    f.kind,
-                    f.mean_abs_residual_ms * f.samples as f64,
-                    f.samples,
-                )),
-            }
+            None => kind_ms.push((s.kind, s.measured_ms(), s.duration_ms())),
         }
-    }
-
-    fn weighted_means(self) -> Vec<(StageKind, f64)> {
-        self.by_kind
-            .into_iter()
-            .map(|(k, sum, n)| (k, sum / n as f64))
-            .collect()
     }
 }
 
@@ -490,7 +468,7 @@ pub(crate) fn execute_plan<K: TopKKey>(
     let mut delegate_passes_run = 0usize;
     let mut delegate_passes_saved = 0usize;
     let mut delegate_cache = CacheReport::default();
-    let mut residuals = ResidualAccum::default();
+    let mut kind_ms = Vec::new();
     // Modeled cost of each pool unit, in unit order, for the deterministic
     // makespan computation below; the executed unit rides along only when
     // a trace sink wants spans.
@@ -546,7 +524,7 @@ pub(crate) fn execute_plan<K: TopKKey>(
         phase_ms.second_topk_ms += unit_phases.second_topk_ms;
         phase_ms.transfer_ms += unit_phases.transfer_ms;
         stats += run.stages.stats();
-        residuals.absorb(&run.stages.calibration);
+        add_kind_ms(&mut kind_ms, &run.stages);
         unit_costs.push((unit_idx, run.stages.makespan_ms, sink.map(|_| run)));
     }
 
@@ -641,7 +619,7 @@ pub(crate) fn execute_plan<K: TopKKey>(
                 d.stages
                     .record_shifted(sink, pool_ms + sharded_ms, host_start_ms);
             }
-            residuals.absorb(&d.stages.calibration);
+            add_kind_ms(&mut kind_ms, &d.stages);
             sharded_ms += d.total_ms;
             sharded_serial_ms += d.stages.serial_ms();
             stats += d.stats;
@@ -695,6 +673,6 @@ pub(crate) fn execute_plan<K: TopKKey>(
         sharded_serial_ms,
         worker_loads,
         worker_units,
-        kind_residual_ms: residuals.weighted_means(),
+        kind_ms,
     })
 }

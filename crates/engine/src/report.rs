@@ -121,8 +121,8 @@ pub struct EngineReport {
     /// of these two fields; sharded queries resolve per device inside the
     /// distributed run and are counted by neither. Per-path visibility
     /// rides the existing metric catalog: radix stage kinds already appear
-    /// in the per-kind residual gauges and the stage-level counters, so no
-    /// new [`drtopk_obs::MetricName`] variant is needed.
+    /// in the per-kind host/modeled gauges and the stage-level counters, so
+    /// no new [`drtopk_obs::MetricName`] variant is needed.
     pub delegate_path_units: usize,
     /// Fused units whose members resolved to the large-k multi-pass
     /// radix-select pipeline (see [`drtopk_core::choose_path`]).
@@ -176,7 +176,7 @@ pub struct EngineReport {
     /// Snapshot of the engine's cumulative metrics registry taken right
     /// after this batch was folded in: latency percentiles (p50/p95/p99),
     /// sustained QPS over engine-busy time, per-worker occupancy and
-    /// per-kind calibration residuals. Cumulative across the engine's
+    /// per-kind host/modeled ratios. Cumulative across the engine's
     /// lifetime, unlike the batch-scoped fields above.
     pub metrics: MetricsSnapshot,
 }

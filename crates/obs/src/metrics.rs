@@ -339,8 +339,9 @@ pub enum MetricName {
     WorkerOccupancy,
     /// Per-worker-slot scheduled unit count in the last batch.
     WorkerQueueDepth,
-    /// Per-`StageKind` mean |measured − calibrated-model| residual, ms.
-    StageResidualMs,
+    /// Per-`StageKind` Σ measured host ms ÷ Σ modeled ms over the last
+    /// batch's stages of that kind.
+    StageHostOverModeled,
 }
 
 impl MetricName {
@@ -361,7 +362,7 @@ impl MetricName {
         MetricName::WorkerBusyMs,
         MetricName::WorkerOccupancy,
         MetricName::WorkerQueueDepth,
-        MetricName::StageResidualMs,
+        MetricName::StageHostOverModeled,
     ];
 
     /// Stable snake_case identifier.
@@ -382,7 +383,7 @@ impl MetricName {
             MetricName::WorkerBusyMs => "worker_busy_ms",
             MetricName::WorkerOccupancy => "worker_occupancy",
             MetricName::WorkerQueueDepth => "worker_queue_depth",
-            MetricName::StageResidualMs => "stage_residual_ms",
+            MetricName::StageHostOverModeled => "stage_host_over_modeled",
         }
     }
 
@@ -402,7 +403,7 @@ impl MetricName {
             MetricName::QueryLatencyMs | MetricName::BatchMakespanMs => MetricUnit::HistogramMs,
             MetricName::WorkerBusyMs => MetricUnit::SlotSumMs,
             MetricName::WorkerOccupancy | MetricName::WorkerQueueDepth => MetricUnit::SlotGauge,
-            MetricName::StageResidualMs => MetricUnit::KindGauge,
+            MetricName::StageHostOverModeled => MetricUnit::KindGauge,
         }
     }
 }
@@ -436,11 +437,11 @@ pub struct MetricsRegistry {
     worker_busy_ms: Vec<FloatCounter>,
     worker_occupancy: Vec<Gauge>,
     worker_queue_depth: Vec<Gauge>,
-    stage_residual_ms: Vec<(&'static str, Gauge)>,
+    stage_host_over_modeled: Vec<(&'static str, Gauge)>,
 }
 
 impl MetricsRegistry {
-    /// A registry with `slots` worker slots and one residual gauge per
+    /// A registry with `slots` worker slots and one host/modeled gauge per
     /// stage-kind name in `kinds`.
     pub fn new(slots: usize, kinds: &[&'static str]) -> MetricsRegistry {
         MetricsRegistry {
@@ -459,7 +460,7 @@ impl MetricsRegistry {
             worker_busy_ms: (0..slots).map(|_| FloatCounter::new()).collect(),
             worker_occupancy: (0..slots).map(|_| Gauge::new()).collect(),
             worker_queue_depth: (0..slots).map(|_| Gauge::new()).collect(),
-            stage_residual_ms: kinds.iter().map(|k| (*k, Gauge::new())).collect(),
+            stage_host_over_modeled: kinds.iter().map(|k| (*k, Gauge::new())).collect(),
         }
     }
 
@@ -522,11 +523,15 @@ impl MetricsRegistry {
         }
     }
 
-    /// Sets the modeled-vs-calibrated residual gauge for one stage kind
-    /// (`stage_residual_ms`). Unknown kind names are ignored.
-    pub fn set_stage_residual_ms(&self, kind: &str, ms: f64) {
-        if let Some((_, g)) = self.stage_residual_ms.iter().find(|(k, _)| *k == kind) {
-            g.set(ms);
+    /// Sets the measured-over-modeled time ratio for one stage kind
+    /// (`stage_host_over_modeled`). Unknown kind names are ignored.
+    pub fn set_stage_host_over_modeled(&self, kind: &str, ratio: f64) {
+        if let Some((_, g)) = self
+            .stage_host_over_modeled
+            .iter()
+            .find(|(k, _)| *k == kind)
+        {
+            g.set(ratio);
         }
     }
 
@@ -560,7 +565,7 @@ impl MetricsRegistry {
                 | MetricName::WorkerBusyMs
                 | MetricName::WorkerOccupancy
                 | MetricName::WorkerQueueDepth
-                | MetricName::StageResidualMs => None,
+                | MetricName::StageHostOverModeled => None,
             };
             if let Some(v) = value {
                 counters.push((name, v));
@@ -586,8 +591,8 @@ impl MetricsRegistry {
                     queue_depth: self.worker_queue_depth[slot].get(),
                 })
                 .collect(),
-            stage_residual_ms: self
-                .stage_residual_ms
+            stage_host_over_modeled: self
+                .stage_host_over_modeled
                 .iter()
                 .map(|(k, g)| (k.to_string(), g.get()))
                 .collect(),
@@ -622,9 +627,9 @@ pub struct MetricsSnapshot {
     pub batch_makespan_ms: HistogramSummary,
     /// Per-slot worker telemetry.
     pub workers: Vec<WorkerSnapshot>,
-    /// `(stage kind name, mean abs residual ms)` per kind, in `StageKind`
-    /// declaration order.
-    pub stage_residual_ms: Vec<(String, f64)>,
+    /// `(stage kind name, Σ measured ms ÷ Σ modeled ms)` per kind, in
+    /// `StageKind` declaration order; 0 for a kind that never ran.
+    pub stage_host_over_modeled: Vec<(String, f64)>,
     /// Queries served per second of modeled engine busy time.
     pub sustained_qps: f64,
 }
@@ -662,8 +667,8 @@ impl MetricsSnapshot {
                 })
                 .collect(),
         );
-        let residuals = Json::Obj(
-            self.stage_residual_ms
+        let host_over_modeled = Json::Obj(
+            self.stage_host_over_modeled
                 .iter()
                 .map(|(k, v)| (k.clone(), Json::Num(*v)))
                 .collect(),
@@ -674,7 +679,7 @@ impl MetricsSnapshot {
             .field("query_latency_ms", self.query_latency_ms.to_json())
             .field("batch_makespan_ms", self.batch_makespan_ms.to_json())
             .field("workers", workers)
-            .field("stage_residual_ms", residuals)
+            .field("stage_host_over_modeled", host_over_modeled)
             .field("sustained_qps", Json::Num(self.sustained_qps))
             .build()
     }
@@ -768,8 +773,8 @@ mod tests {
         reg.add_worker_busy_ms(1, 12.5);
         reg.set_worker_occupancy(1, 0.8);
         reg.set_worker_queue_depth(1, 3.0);
-        reg.set_stage_residual_ms("gather", 0.25);
-        reg.set_stage_residual_ms("unknown_kind", 9.0); // ignored
+        reg.set_stage_host_over_modeled("gather", 0.25);
+        reg.set_stage_host_over_modeled("unknown_kind", 9.0); // ignored
 
         let snap = reg.snapshot();
         assert_eq!(snap.counter(MetricName::QueriesServed), 10);
@@ -780,7 +785,10 @@ mod tests {
         assert_eq!(snap.workers[1].busy_ms, 12.5);
         assert_eq!(snap.workers[1].occupancy, 0.8);
         assert_eq!(snap.workers[1].queue_depth, 3.0);
-        assert_eq!(snap.stage_residual_ms[1], ("gather".to_string(), 0.25));
+        assert_eq!(
+            snap.stage_host_over_modeled[1],
+            ("gather".to_string(), 0.25)
+        );
         // 10 queries over 50 ms busy = 200 QPS sustained.
         assert_eq!(snap.sustained_qps, 200.0);
 

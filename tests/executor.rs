@@ -1,11 +1,9 @@
-//! Acceptance tests for the threaded stage-graph executor and its
-//! wall-clock calibration harness:
+//! Acceptance tests for the threaded stage-graph executor:
 //!
 //! * on an out-of-core sharded run at ≥ 4× aggregate capacity, the
-//!   threaded executor's **measured** wall-clock makespan must land within
-//!   25% of the calibrated prediction AND at least 20% below the serial
-//!   executor's measured wall-clock — real time has to track the modeled
-//!   overlap, not just the model;
+//!   threaded executor's **measured** wall-clock makespan must land at
+//!   least 20% below the serial executor's measured wall-clock — real time
+//!   has to realize the modeled overlap, not just the model;
 //! * results and modeled reports stay bit-identical across executors and
 //!   across repeated runs (the determinism stress test), regardless of the
 //!   host thread interleaving.
@@ -43,7 +41,7 @@ fn single_threaded_cluster(devices: usize, capacity: usize) -> GpuCluster {
 /// runs. The modeled 20%-overlap pin stays enforced unconditionally in
 /// `tests/stages.rs`.
 #[test]
-fn threaded_executor_tracks_modeled_makespan_on_out_of_core_run() {
+fn threaded_executor_beats_serial_on_out_of_core_run() {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let check_wall_clock = cores >= 4;
     let capacity = 1 << 16;
@@ -87,9 +85,7 @@ fn threaded_executor_tracks_modeled_makespan_on_out_of_core_run() {
             "modeled report must not depend on the executor"
         );
 
-        // Wall-clock: threaded must beat serial by ≥ 20%, and land within
-        // 25% of what the per-kind calibration fit predicts for the
-        // modeled schedule.
+        // Wall-clock: threaded must beat serial by ≥ 20%.
         if !check_wall_clock {
             eprintln!(
                 "note: only {cores} core(s) available — skipping the \
@@ -99,20 +95,14 @@ fn threaded_executor_tracks_modeled_makespan_on_out_of_core_run() {
         }
         let t = threaded.stages.measured_makespan_ms;
         let s = serial.stages.measured_makespan_ms;
-        let predicted = threaded
-            .stages
-            .calibration
-            .predicted_makespan_ms(&threaded.stages);
-        let beats_serial = t <= 0.80 * s;
-        let within_prediction = predicted > 0.0 && (t - predicted).abs() <= 0.25 * predicted;
-        attempts.push((t, s, predicted));
-        if beats_serial && within_prediction {
+        attempts.push((t, s));
+        if t <= 0.80 * s {
             return;
         }
     }
     panic!(
         "threaded executor never hit the wall-clock acceptance band in \
-         {} attempts (threaded_ms, serial_ms, predicted_ms): {attempts:?}",
+         {} attempts (threaded_ms, serial_ms): {attempts:?}",
         attempts.len()
     );
 }
@@ -175,40 +165,4 @@ fn repeated_threaded_runs_are_bit_identical() {
             "distributed report, run {run}"
         );
     }
-}
-
-/// The calibration fit committed as a baseline is reproducible: per-kind
-/// slopes are finite, R² is within [0, 1], and the modeled prediction for
-/// a serial run degenerates to something near its measured time (the
-/// fit's whole job).
-#[test]
-fn calibration_fit_is_well_formed() {
-    let c = single_threaded_cluster(2, 1 << 13);
-    let data = topk_datagen::uniform(1 << 16, 9);
-    let got = distributed_dr_topk_executor(
-        &c,
-        &data,
-        64,
-        &DrTopKConfig::default(),
-        ReloadSchedule::DoubleBuffered,
-        Executor::Threaded,
-    );
-    let fit = &got.stages.calibration;
-    assert!(!fit.fits.is_empty());
-    for kf in &fit.fits {
-        assert!(kf.samples > 0);
-        // OLS on jittery sub-microsecond stages may fit a negative slope;
-        // `predict` clamps at zero, the raw coefficient just has to be a
-        // number.
-        assert!(kf.slope.is_finite());
-        assert!(kf.intercept_ms.is_finite());
-        assert!((0.0..=1.0).contains(&kf.r2), "R² out of range: {}", kf.r2);
-    }
-    // Every stage's prediction is non-negative and finite.
-    for s in &got.stages.stages {
-        let p = fit.predict_stage_ms(s);
-        assert!(p.is_finite() && p >= 0.0);
-    }
-    let predicted = fit.predicted_makespan_ms(&got.stages);
-    assert!(predicted.is_finite() && predicted >= 0.0);
 }

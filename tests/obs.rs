@@ -312,3 +312,69 @@ fn engine_trace_places_measured_spans_on_the_batch_host_timeline() {
         );
     }
 }
+
+/// `stage_host_over_modeled` is the batch's plain per-kind ratio of
+/// measured to modeled stage time: recomputed from the spans a full
+/// recorder captured (pool units and the sharded run alike), every kind
+/// with modeled time matches to 1e-9 relative, and every other kind reads 0.
+#[test]
+fn stage_host_over_modeled_matches_the_traced_spans() {
+    use drtopk::core::StageKind;
+    use drtopk::engine::EngineConfig;
+
+    let engine = TopKEngine::with_config(
+        GpuCluster::homogeneous(2, DeviceSpec::v100s()),
+        EngineConfig {
+            shard_capacity: Some(1 << 15),
+            ..EngineConfig::default()
+        },
+    );
+    let pooled = topk_datagen::uniform(1 << 15, 5);
+    let sharded = topk_datagen::uniform(1 << 17, 6);
+    let mut batch = QueryBatch::new();
+    let p = batch.add_corpus(1, &pooled);
+    let s = batch.add_corpus(2, &sharded);
+    for k in [16usize, 256] {
+        batch.push_topk(p, k);
+    }
+    batch.push_topk_approx(p, 64, 0.95);
+    batch.push_topk(s, 64);
+    let rec = Arc::new(TraceRecorder::new());
+    engine.attach_recorder(rec.clone());
+    let out = engine.run_batch(&batch).unwrap();
+    engine.detach_recorder();
+    assert!(out.report.fused_units >= 2, "two pool units");
+    assert_eq!(out.report.sharded_queries, 1);
+
+    let spans = rec.spans();
+    let ratios = &out.report.metrics.stage_host_over_modeled;
+    assert_eq!(ratios.len(), StageKind::ALL.len());
+    for (kind, ratio) in ratios {
+        let (measured, modeled) =
+            spans
+                .iter()
+                .filter(|s| &s.kind == kind)
+                .fold((0.0f64, 0.0f64), |(m, d), s| {
+                    (
+                        m + (s.measured_end_ms - s.measured_start_ms),
+                        d + (s.end_ms - s.start_ms),
+                    )
+                });
+        if modeled > 0.0 {
+            let expected = measured / modeled;
+            assert!(
+                (ratio - expected).abs() <= 1e-9 * expected.abs(),
+                "{kind}: gauge {ratio}, spans give {expected}"
+            );
+        } else {
+            assert_eq!(*ratio, 0.0, "{kind} never ran, so its gauge must read 0");
+        }
+    }
+    // Pool kinds and the sharded run's kinds both reached the gauge.
+    for kind in ["first_topk", "local_topk"] {
+        assert!(
+            ratios.iter().any(|(k, r)| k == kind && *r > 0.0),
+            "{kind} ran but its gauge is unset"
+        );
+    }
+}
