@@ -62,6 +62,27 @@ fn bench_topk(c: &mut Criterion) {
         })
     });
     group.finish();
+
+    // Host time of the construction kernel alone at the paper's |V| = 2^22:
+    // the (α, β) shapes the single-query path picks for k = 32…512 (β = 2),
+    // the max-delegate preset (β = 1) and an approximate candidate budget.
+    let big = topk_datagen::uniform(1 << 22, 42);
+    let mut group = c.benchmark_group("delegate_construction_n22");
+    group.sample_size(10);
+    for (alpha, beta) in [(10u32, 2usize), (9, 2), (8, 2), (9, 1), (12, 3)] {
+        group.bench_function(&format!("warp_shuffle_a{alpha}_b{beta}"), |b| {
+            b.iter(|| {
+                drtopk_core::build_delegate_vector(
+                    &device,
+                    &big,
+                    alpha,
+                    beta,
+                    drtopk_core::ConstructionMethod::WarpShuffle,
+                )
+            })
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(benches, bench_topk);

@@ -19,9 +19,18 @@
 //!   bank conflicts) and then each *thread* extracts the delegates of one
 //!   subrange privately, eliminating the shuffle traffic entirely
 //!   (Section 5.3, Figure 15).
+//!
+//! The host simulation mirrors the warp's lane structure: element `i` of a
+//! subrange goes to lane `i mod 32`, every lane keeps a sorted running
+//! top-β through a branch-free compare-exchange chain (so the 32 lanes
+//! vectorise), and the lane candidates are then combined as the shuffles
+//! would. Each simulated warp writes its entries straight into its slab of
+//! the one delegate vector ([`Device::launch_into`]). Counters and modeled
+//! time come from the per-subrange accounting alone, so they do not depend
+//! on how the host computes the delegates.
 
-use gpu_sim::{Device, KernelStats, WARP_SIZE};
-use topk_baselines::TopKKey;
+use gpu_sim::{chunk_range, Device, KernelStats, WARP_SIZE};
+use topk_baselines::{KeyBits, TopKKey};
 
 /// How the delegate vector is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,23 +98,96 @@ impl<K: TopKKey> DelegateVector<K> {
     }
 }
 
-/// Extract the top `beta` values of `slice` in descending key order (β is
-/// tiny — 1 to 4 — so a simple insertion pass beats sorting). Comparisons
-/// run in the key's order-preserving radix space. Shared with the row-block
-/// fused pass ([`crate::rows`]), which extracts per-row delegates inside a
-/// single kernel launch.
+/// Lanes of the simulated warp in the lane-parallel scan of [`top_beta_of`].
+const LANES: usize = WARP_SIZE;
+
+/// Write the `out.len()` largest keys of `slice` into `out`, in descending
+/// key order (`out.len() ≤ slice.len()`). Comparisons run in the key's
+/// order-preserving radix space, so the result is the unique descending
+/// top-β sequence, bit for bit. Shared with the row-block fused pass
+/// ([`crate::rows`]), which extracts per-row delegates inside a single
+/// kernel launch.
+///
+/// Slices of at least two warp rows with β ≤ 4 — the default β = 2, the
+/// max-delegate β = 1 and the approximate candidate budgets — take the
+/// lane-parallel scan the construction kernel runs on the device; every
+/// other shape takes a scalar insertion pass.
 #[inline]
-pub(crate) fn top_beta_of<K: TopKKey>(slice: &[K], beta: usize, out: &mut Vec<K>) {
-    out.clear();
+pub(crate) fn top_beta_of<K: TopKKey>(slice: &[K], out: &mut [K]) {
+    debug_assert!(out.len() <= slice.len(), "more delegates than keys");
+    if slice.len() >= 2 * LANES {
+        match out.len() {
+            1 => return lane_top_beta::<K, 1>(slice, out),
+            2 => return lane_top_beta::<K, 2>(slice, out),
+            3 => return lane_top_beta::<K, 3>(slice, out),
+            4 => return lane_top_beta::<K, 4>(slice, out),
+            _ => {}
+        }
+    }
+    insertion_top_beta(slice, out);
+}
+
+/// The warp's scan: element `i` of `slice` goes to lane `i mod 32`, which
+/// keeps its own descending top-`B` in `regs[0..B][lane]` through a
+/// branch-free compare-exchange chain (vectorised across the lanes). The
+/// `32·B` lane candidates plus the tail that does not fill a row of 32 are
+/// then combined into the subrange's top-`B`. Lanes that saw fewer than `B`
+/// keys hold the radix minimum as padding; since `slice` has at least `B`
+/// real keys, a pad survives only where it ties a real key bit for bit.
+fn lane_top_beta<K: TopKKey, const B: usize>(slice: &[K], out: &mut [K]) {
+    let zero = <K::Bits as KeyBits>::ZERO;
+    let mut regs = [[zero; LANES]; B];
+    let rows = slice.chunks_exact(LANES);
+    let tail = rows.remainder();
+    for row in rows {
+        let mut v = [zero; LANES];
+        for (v, &x) in v.iter_mut().zip(row) {
+            *v = x.to_bits();
+        }
+        for reg in &mut regs {
+            for (r, v) in reg.iter_mut().zip(&mut v) {
+                let hi = (*r).max(*v);
+                *v = (*r).min(*v);
+                *r = hi;
+            }
+        }
+    }
+    let mut best = [zero; B];
+    let mut insert = |mut v: K::Bits| {
+        for b in &mut best {
+            let hi = (*b).max(v);
+            v = (*b).min(v);
+            *b = hi;
+        }
+    };
+    for lane in 0..LANES {
+        for reg in &regs {
+            insert(reg[lane]);
+        }
+    }
+    for &x in tail {
+        insert(x.to_bits());
+    }
+    for (o, &b) in out.iter_mut().zip(&best) {
+        *o = K::from_bits(b);
+    }
+}
+
+/// Scalar top-`out.len()` by insertion into the sorted prefix of `out`.
+fn insertion_top_beta<K: TopKKey>(slice: &[K], out: &mut [K]) {
+    let beta = out.len();
+    let mut len = 0;
     for &x in slice {
         let xb = x.to_bits();
-        if out.len() < beta {
+        if len < beta {
+            let pos = out[..len].partition_point(|y| y.to_bits() >= xb);
+            out.copy_within(pos..len, pos + 1);
+            out[pos] = x;
+            len += 1;
+        } else if beta > 0 && xb > out[beta - 1].to_bits() {
             let pos = out.partition_point(|y| y.to_bits() >= xb);
-            out.insert(pos, x);
-        } else if xb > out.last().unwrap().to_bits() {
-            out.pop();
-            let pos = out.partition_point(|y| y.to_bits() >= xb);
-            out.insert(pos, x);
+            out.copy_within(pos..beta - 1, pos + 1);
+            out[pos] = x;
         }
     }
 }
@@ -138,6 +220,13 @@ pub fn build_delegate_vector<K: TopKKey>(
         };
     }
 
+    // Every subrange but the last is full and yields `per` entries, so
+    // subrange `s` starts at entry `s·per`; the last may yield fewer.
+    let per = beta.min(subrange_size);
+    let last_len = data.len() - (num_subranges - 1) * subrange_size;
+    let total = (num_subranges - 1) * per + beta.min(last_len);
+    let entry = |s: usize| (s * per).min(total);
+
     // Each simulated warp handles a contiguous run of subranges; cap the
     // warp count so tiny subranges do not explode the simulation overhead.
     let num_warps = num_subranges.clamp(1, 1 << 14);
@@ -152,67 +241,67 @@ pub fn build_delegate_vector<K: TopKKey>(
     // words so the charged store bytes stay exact for 8-byte keys.
     let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
 
-    let launch = device.launch(kernel_name, num_warps, |ctx| {
-        let subranges = ctx.chunk_of(num_subranges);
-        let mut values: Vec<K> = Vec::with_capacity(subranges.len() * beta);
-        let mut ids: Vec<u32> = Vec::with_capacity(subranges.len() * beta);
-        let mut scratch: Vec<K> = Vec::with_capacity(beta);
-        match method {
-            ConstructionMethod::WarpShuffle => {
-                for s in subranges {
-                    let start = s * subrange_size;
-                    let end = ((s + 1) * subrange_size).min(data.len());
-                    let slice = ctx.read_coalesced(&data[start..end]);
-                    ctx.record_alu(slice.len() as u64);
-                    top_beta_of(slice, beta, &mut scratch);
-                    // β warp reductions to agree on the top-β of the subrange
-                    for &v in &scratch {
-                        ctx.warp_reduce_max(v.to_bits());
-                        values.push(v);
-                        ids.push(s as u32);
-                    }
-                    // delegate (value, id) pair written to global memory
-                    ctx.record_store_coalesced::<u32>(kv_words * scratch.len());
-                }
-            }
-            ConstructionMethod::CoalescedShared => {
-                // Stage WARP_SIZE subranges at a time: the warp loads them
-                // coalesced into (padded) shared memory, then each thread
-                // extracts the delegates of one subrange without any shuffle.
-                let mut iter = subranges.clone().peekable();
-                while iter.peek().is_some() {
-                    let group: Vec<usize> = iter.by_ref().take(WARP_SIZE).collect();
-                    let group_start = group[0] * subrange_size;
-                    let group_end = ((group[group.len() - 1] + 1) * subrange_size).min(data.len());
-                    let staged = ctx.read_coalesced(&data[group_start..group_end]);
-                    // shared-memory staging: one store per element (padded →
-                    // conflict free), then each thread reads its subrange
-                    // back (strided by the padded pitch → conflict free).
-                    ctx.record_shared(2 * staged.len() as u64);
-                    ctx.record_alu(staged.len() as u64);
-                    ctx.syncthreads();
-                    for &s in &group {
-                        let start = s * subrange_size;
-                        let end = ((s + 1) * subrange_size).min(data.len());
-                        top_beta_of(&data[start..end], beta, &mut scratch);
-                        for &v in &scratch {
-                            values.push(v);
-                            ids.push(s as u32);
+    // Each warp writes the entries of its subranges straight into its slab
+    // of the delegate vector.
+    let mut values = vec![K::default(); total];
+    let launch = device.launch_into(
+        kernel_name,
+        num_warps,
+        &mut values,
+        |w| {
+            let subranges = chunk_range(num_subranges, num_warps, w);
+            entry(subranges.start)..entry(subranges.end)
+        },
+        |ctx, slab| {
+            let subranges = ctx.chunk_of(num_subranges);
+            let base = entry(subranges.start);
+            let keys = |s: usize| s * subrange_size..((s + 1) * subrange_size).min(data.len());
+            match method {
+                ConstructionMethod::WarpShuffle => {
+                    for s in subranges {
+                        let slice = ctx.read_coalesced(&data[keys(s)]);
+                        ctx.record_alu(slice.len() as u64);
+                        let delegates = &mut slab[entry(s) - base..entry(s + 1) - base];
+                        top_beta_of(slice, delegates);
+                        // β warp reductions to agree on the top-β of the subrange
+                        for &v in delegates.iter() {
+                            ctx.warp_reduce_max(v.to_bits());
                         }
-                        ctx.record_store_coalesced::<u32>(kv_words * scratch.len());
+                        // delegate (value, id) pair written to global memory
+                        ctx.record_store_coalesced::<u32>(kv_words * delegates.len());
                     }
                 }
+                ConstructionMethod::CoalescedShared => {
+                    // Stage WARP_SIZE subranges at a time: the warp loads them
+                    // coalesced into (padded) shared memory, then each thread
+                    // extracts the delegates of one subrange without any shuffle.
+                    for first in subranges.clone().step_by(WARP_SIZE) {
+                        let group = first..(first + WARP_SIZE).min(subranges.end);
+                        let staged = ctx.read_coalesced(
+                            &data[keys(group.start).start..keys(group.end - 1).end],
+                        );
+                        // shared-memory staging: one store per element (padded →
+                        // conflict free), then each thread reads its subrange
+                        // back (strided by the padded pitch → conflict free).
+                        ctx.record_shared(2 * staged.len() as u64);
+                        ctx.record_alu(staged.len() as u64);
+                        ctx.syncthreads();
+                        for s in group {
+                            let delegates = &mut slab[entry(s) - base..entry(s + 1) - base];
+                            top_beta_of(&data[keys(s)], delegates);
+                            ctx.record_store_coalesced::<u32>(kv_words * delegates.len());
+                        }
+                    }
+                }
+                ConstructionMethod::Auto => unreachable!(),
             }
-            ConstructionMethod::Auto => unreachable!(),
-        }
-        (values, ids)
-    });
+        },
+    );
 
-    let mut values = Vec::with_capacity(num_subranges * beta);
-    let mut subrange_ids = Vec::with_capacity(num_subranges * beta);
-    for (v, i) in launch.output {
-        values.extend(v);
-        subrange_ids.extend(i);
+    // Subrange ids are a pure function of the entry layout.
+    let mut subrange_ids = Vec::with_capacity(total);
+    for s in 0..num_subranges {
+        subrange_ids.resize(entry(s + 1), s as u32);
     }
 
     DelegateVector {
@@ -303,6 +392,91 @@ mod tests {
         // subrange 0 = [10,20,30,40] -> 3 delegates; subrange 1 = [50] -> 1
         assert_eq!(dv.values, vec![40, 30, 20, 50]);
         assert_eq!(dv.subrange_ids, vec![0, 0, 0, 1]);
+    }
+
+    /// Sort-based top-β of one subrange, compared as bit images.
+    fn sorted_top<K: TopKKey>(slice: &[K], beta: usize) -> Vec<K::Bits> {
+        let mut bits: Vec<K::Bits> = slice.iter().map(|v| v.to_bits()).collect();
+        bits.sort_unstable_by(|a, b| b.cmp(a));
+        bits.truncate(beta);
+        bits
+    }
+
+    fn scan<K: TopKKey>(slice: &[K], beta: usize) -> Vec<K::Bits> {
+        let mut out = vec![K::default(); beta.min(slice.len())];
+        top_beta_of(slice, &mut out);
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn subranges_around_the_lane_scan_threshold_match_sorting() {
+        // 63 keys take the insertion pass, 64 and 65 the lane scan (65 with
+        // a one-key tail, 127 with a 31-key one); ascending input makes
+        // every key a running max.
+        for len in [63usize, 64, 65, 127] {
+            let random = topk_datagen::uniform(len, len as u64);
+            let ascending: Vec<u32> = (0..len as u32).collect();
+            let floats: Vec<f32> = (0..len)
+                .map(|i| [f32::NAN, -0.0, 0.0, f32::INFINITY, -1e-40][i % 5] * (i as f32))
+                .collect();
+            for beta in 1..=6 {
+                assert_eq!(
+                    scan(&random, beta),
+                    sorted_top(&random, beta),
+                    "{len} {beta}"
+                );
+                assert_eq!(scan(&ascending, beta), sorted_top(&ascending, beta));
+                assert_eq!(scan(&floats, beta), sorted_top(&floats, beta));
+                // Every position — each lane, each row, each tail slot — can
+                // hold the two largest keys.
+                for p in 0..len {
+                    let mut spiked = vec![1u32; len];
+                    spiked[p] = 5;
+                    spiked[(p + 33) % len] = 4;
+                    assert_eq!(
+                        scan(&spiked, beta),
+                        sorted_top(&spiked, beta),
+                        "{len} {beta} {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_equal_subrange_yields_beta_copies() {
+        let dev = device();
+        for value in [0u32, 7, u32::MAX] {
+            let data = vec![value; 300];
+            for beta in 1..=6 {
+                let dv =
+                    build_delegate_vector(&dev, &data, 7, beta, ConstructionMethod::WarpShuffle);
+                // 128 + 128 + 44 keys: every subrange yields β copies
+                assert_eq!(
+                    dv.values,
+                    vec![value; 3 * beta],
+                    "value={value} beta={beta}"
+                );
+                assert_eq!(dv.subrange_ids.len(), 3 * beta);
+            }
+        }
+    }
+
+    #[test]
+    fn beta_larger_than_the_subrange_yields_every_key_sorted() {
+        let dev = device();
+        let data: Vec<i64> = vec![3, -9, 12, 0, 5, -1, 8];
+        for method in [
+            ConstructionMethod::WarpShuffle,
+            ConstructionMethod::CoalescedShared,
+        ] {
+            // 2^2 = 4 keys per subrange, β = 6: full subranges yield 4
+            // entries, the 3-key tail yields 3
+            let dv = build_delegate_vector(&dev, &data, 2, 6, method);
+            assert_eq!(dv.values, vec![12, 3, 0, -9, 8, 5, -1], "{method:?}");
+            assert_eq!(dv.subrange_ids, vec![0, 0, 0, 0, 1, 1, 1]);
+            assert_eq!(dv.num_subranges, 2);
+        }
     }
 
     #[test]

@@ -408,7 +408,6 @@ impl<'a, K: TopKKey> RowChain<'a, K> {
                     let launch = device.launch("drtopk_rows_fused_pass", num_warps, |kctx| {
                         let local = kctx.chunk_of(block_len);
                         let mut out: Vec<(usize, RowPass<K>)> = Vec::new();
-                        let mut scratch: Vec<K> = Vec::new();
                         let mut i = local.start;
                         while i < local.end {
                             if layout.paths[start + i] == RowPath::Skip {
@@ -452,17 +451,12 @@ impl<'a, K: TopKKey> RowChain<'a, K> {
                                         let mut values = Vec::with_capacity(num_subranges * beta);
                                         let mut ids = Vec::with_capacity(num_subranges * beta);
                                         for s in 0..num_subranges {
-                                            let sub_end =
-                                                ((s + 1) * subrange_size).min(matrix.cols);
-                                            top_beta_of(
-                                                &row[s * subrange_size..sub_end],
-                                                beta,
-                                                &mut scratch,
-                                            );
-                                            for &v in &scratch {
-                                                values.push(v);
-                                                ids.push(s as u32);
-                                            }
+                                            let sub = &row[s * subrange_size
+                                                ..((s + 1) * subrange_size).min(matrix.cols)];
+                                            let at = values.len();
+                                            values.resize(at + beta.min(sub.len()), K::default());
+                                            top_beta_of(sub, &mut values[at..]);
+                                            ids.resize(values.len(), s as u32);
                                         }
                                         kctx.record_store_coalesced::<u32>(kv_words * values.len());
                                         out.push((

@@ -469,10 +469,10 @@ pub(crate) fn execute_plan<K: TopKKey>(
     let mut delegate_passes_saved = 0usize;
     let mut delegate_cache = CacheReport::default();
     let mut kind_ms = Vec::new();
-    // Modeled cost of each pool unit, in unit order, for the deterministic
-    // makespan computation below; the executed unit rides along only when
-    // a trace sink wants spans.
-    let mut unit_costs: Vec<(usize, f64, Option<UnitRun>)> = Vec::new();
+    // Modeled cost and phases of each pool unit, put in unit order below for
+    // the deterministic makespan and phase sums; the executed unit rides
+    // along only when a trace sink wants spans.
+    let mut unit_costs: Vec<(usize, f64, PhaseBreakdown, Option<UnitRun>)> = Vec::new();
 
     for pool_outcome in per_device.into_iter().flatten() {
         let (unit_idx, run) = match pool_outcome {
@@ -517,25 +517,31 @@ pub(crate) fn execute_plan<K: TopKKey>(
         // shared pass and every member's stages (and any member-level pass
         // rebuild), so phases, counters and the unit's modeled cost are all
         // read off it.
-        let unit_phases = run.stages.phase_breakdown();
-        phase_ms.delegate_ms += unit_phases.delegate_ms;
-        phase_ms.first_topk_ms += unit_phases.first_topk_ms;
-        phase_ms.concat_ms += unit_phases.concat_ms;
-        phase_ms.second_topk_ms += unit_phases.second_topk_ms;
-        phase_ms.transfer_ms += unit_phases.transfer_ms;
         stats += run.stages.stats();
         add_kind_ms(&mut kind_ms, &run.stages);
-        unit_costs.push((unit_idx, run.stages.makespan_ms, sink.map(|_| run)));
+        unit_costs.push((
+            unit_idx,
+            run.stages.makespan_ms,
+            run.stages.phase_breakdown(),
+            sink.map(|_| run),
+        ));
     }
 
     // Deterministic modeled makespan of the pool phase: list-schedule the
     // fused units in plan order onto the workers, each unit going to the
     // earliest-available (least-loaded) worker — exactly what the shared
     // queue does in modeled time, but independent of host-thread timing.
-    unit_costs.sort_unstable_by_key(|&(unit, _, _)| unit);
+    // Phases are summed in the same unit order, so their rounding does not
+    // depend on which worker finished first.
+    unit_costs.sort_unstable_by_key(|&(unit, ..)| unit);
     let mut worker_loads = vec![0.0f64; cluster.num_devices()];
     let mut worker_units = vec![0usize; cluster.num_devices()];
-    for (_, cost, traced) in &unit_costs {
+    for (_, cost, unit_phases, traced) in &unit_costs {
+        phase_ms.delegate_ms += unit_phases.delegate_ms;
+        phase_ms.first_topk_ms += unit_phases.first_topk_ms;
+        phase_ms.concat_ms += unit_phases.concat_ms;
+        phase_ms.second_topk_ms += unit_phases.second_topk_ms;
+        phase_ms.transfer_ms += unit_phases.transfer_ms;
         let earliest = worker_loads
             .iter()
             .enumerate()

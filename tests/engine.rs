@@ -517,3 +517,39 @@ fn traced_mixed_batch_matches_standalone_runs_and_pinned_spans() {
     ];
     assert_eq!(units, vec![exact_unit, radix_unit, approx_unit, rows_unit]);
 }
+
+/// `EngineReport::phase_ms` is summed in plan-unit order, not in the order
+/// the pool's workers happen to finish units, so its bits repeat exactly
+/// across runs even though the wall-clock queue order does not.
+#[test]
+fn phase_ms_is_bit_identical_across_runs() {
+    let corpora: Vec<Vec<u32>> = (0..6u64)
+        .map(|i| topk_datagen::uniform((1 << 12) << (i % 3), 0x5eed + i))
+        .collect();
+    let phase_bits = || {
+        let eng = engine(3);
+        let mut batch = QueryBatch::new();
+        for (i, data) in corpora.iter().enumerate() {
+            let c = batch.add_corpus(i as u64 + 1, data);
+            batch.push_topk(c, 8 << i);
+        }
+        let out = eng.run_batch(&batch).expect("batch must execute");
+        assert!(
+            out.report.delegate_path_units + out.report.radix_path_units >= 6,
+            "one pool unit per corpus"
+        );
+        let p = out.report.phase_ms;
+        [
+            p.delegate_ms,
+            p.first_topk_ms,
+            p.concat_ms,
+            p.second_topk_ms,
+            p.transfer_ms,
+        ]
+        .map(f64::to_bits)
+    };
+    let first = phase_bits();
+    for run in 1..20 {
+        assert_eq!(phase_bits(), first, "run {run}");
+    }
+}

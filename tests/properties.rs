@@ -453,3 +453,174 @@ fn auto_crossover_pins_match_the_model() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Delegate construction conformance. The host simulation scans each subrange
+// lane-parallel and writes straight into the delegate vector; what it
+// produces must still be, bit for bit, the sort-based delegate vector, and
+// its counters and modeled time must be those of the construction kernel's
+// accounting (one coalesced read per subrange or per 32-subrange staging
+// group, one warp reduction and one (key, id) store per entry), for every
+// key type, float specials, duplicate-heavy and ascending inputs, both
+// directions and both construction kernels.
+// ---------------------------------------------------------------------------
+
+use drtopk::core::as_desc;
+use drtopk::sim::{WarpCtx, WARP_SIZE};
+
+/// Sort-based reference: every subrange's β largest keys, descending, as
+/// bit images, with their subrange ids.
+fn reference_delegates<K: TopKKey>(
+    data: &[K],
+    alpha: u32,
+    beta: usize,
+) -> (Vec<K::Bits>, Vec<u32>) {
+    let mut values = Vec::new();
+    let mut ids = Vec::new();
+    for (s, chunk) in data.chunks(1 << alpha).enumerate() {
+        let mut sorted = bits_of(chunk);
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        sorted.truncate(beta);
+        ids.extend(std::iter::repeat_n(s as u32, sorted.len()));
+        values.extend(sorted);
+    }
+    (values, ids)
+}
+
+/// The construction kernel's accounting replayed on the same warp grid
+/// without touching any key: the counters and modeled time the delegate
+/// vector must report.
+fn reference_accounting<K: TopKKey>(
+    device: &Device,
+    n: usize,
+    alpha: u32,
+    beta: usize,
+    method: ConstructionMethod,
+) -> (KernelStats, f64) {
+    let size = 1usize << alpha;
+    let num_subranges = n.div_ceil(size);
+    let kv_words = 1 + std::mem::size_of::<K>() / std::mem::size_of::<u32>();
+    let keys = |s: usize| ((s + 1) * size).min(n) - s * size;
+    let store = |ctx: &mut WarpCtx<'_>, s: usize| {
+        ctx.record_store_coalesced::<u32>(kv_words * beta.min(keys(s)));
+    };
+    let launch = device.launch(
+        "reference_accounting",
+        num_subranges.clamp(1, 1 << 14),
+        |ctx| {
+            let subranges = ctx.chunk_of(num_subranges);
+            match method.resolve(alpha) {
+                ConstructionMethod::WarpShuffle => {
+                    for s in subranges {
+                        ctx.record_load_coalesced::<K>(keys(s));
+                        ctx.record_alu(keys(s) as u64);
+                        for _ in 0..beta.min(keys(s)) {
+                            ctx.warp_reduce_max(0u32);
+                        }
+                        store(ctx, s);
+                    }
+                }
+                _ => {
+                    for first in subranges.clone().step_by(WARP_SIZE) {
+                        let group = first..(first + WARP_SIZE).min(subranges.end);
+                        let staged: usize = group.clone().map(keys).sum();
+                        ctx.record_load_coalesced::<K>(staged);
+                        ctx.record_shared(2 * staged as u64);
+                        ctx.record_alu(staged as u64);
+                        ctx.syncthreads();
+                        for s in group {
+                            store(ctx, s);
+                        }
+                    }
+                }
+            }
+        },
+    );
+    (launch.stats, launch.time_ms)
+}
+
+fn assert_delegates_conform<K: TopKKey>(device: &Device, data: &[K], alpha: u32, beta: usize) {
+    let (want_values, want_ids) = reference_delegates(data, alpha, beta);
+    for method in [
+        ConstructionMethod::WarpShuffle,
+        ConstructionMethod::CoalescedShared,
+    ] {
+        let dv = build_delegate_vector(device, data, alpha, beta, method);
+        let ctx = format!(
+            "{} keys, alpha={alpha}, beta={beta}, {method:?}",
+            data.len()
+        );
+        prop_assert_eq!(&bits_of(&dv.values), &want_values, "values: {}", ctx);
+        prop_assert_eq!(&dv.subrange_ids, &want_ids, "ids: {}", ctx);
+        prop_assert_eq!(dv.num_subranges, data.len().div_ceil(1 << alpha), "{}", ctx);
+        let (stats, time_ms) = reference_accounting::<K>(device, data.len(), alpha, beta, method);
+        prop_assert_eq!(dv.stats, stats, "stats: {}", ctx);
+        prop_assert_eq!(dv.time_ms.to_bits(), time_ms.to_bits(), "time_ms: {}", ctx);
+    }
+}
+
+/// `len` keys drawn by `key`, then shaped: 0 leaves them random, 1 makes
+/// them duplicate-heavy (a 4-key palette indexed by `low_entropy` data), 2
+/// sorts them ascending in key order (every key is a new running maximum).
+fn shaped_keys<K: TopKKey>(
+    rng: &mut TestRng,
+    len: usize,
+    shape: u32,
+    key: impl Fn(&mut TestRng) -> K,
+) -> Vec<K> {
+    let mut data: Vec<K> = (0..len).map(|_| key(rng)).collect();
+    match shape {
+        1 => {
+            let palette: Vec<K> = (0..4).map(|_| key(rng)).collect();
+            let picks = topk_datagen::low_entropy(len, 4, rng.next_u64());
+            for (d, p) in data.iter_mut().zip(picks) {
+                *d = palette[p as usize % palette.len()];
+            }
+        }
+        2 => data.sort_unstable_by_key(|k| k.to_bits()),
+        _ => {}
+    }
+    data
+}
+
+fn assert_conform_every_beta<K: TopKKey>(
+    rng: &mut TestRng,
+    len: usize,
+    shape: u32,
+    alpha: u32,
+    key: impl Fn(&mut TestRng) -> K,
+) {
+    let device = device();
+    let data = shaped_keys(rng, len, shape, key);
+    for beta in 1..=6 {
+        assert_delegates_conform(&device, &data, alpha, beta);
+        assert_delegates_conform(&device, as_desc(&data), alpha, beta);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Delegate construction equals the sort-based reference and the
+    /// kernel's accounting for all six key types in both directions. Every
+    /// case runs β = 1..=6, so both the lane scan (β ≤ 4, ≥ 64 keys) and
+    /// the insertion pass run, and β > 2^α whenever α ≤ 2; α ∈ 1..=12 and
+    /// lengths that are rarely multiples of 32, 64 or 2^α cover short
+    /// subranges, partial warp rows and short final subranges.
+    #[test]
+    fn delegate_construction_conforms_for_all_key_types(
+        len in 1usize..2600,
+        alpha in 1u32..13,
+        shape in 0u32..3,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = TestRng::from_seed(seed);
+        let rng = &mut rng;
+        assert_conform_every_beta(rng, len, shape, alpha, |r| r.next_u64() as u32);
+        assert_conform_every_beta(rng, len, shape, alpha, |r| r.next_u64());
+        assert_conform_every_beta(rng, len, shape, alpha, |r| r.next_u64() as i32);
+        assert_conform_every_beta(rng, len, shape, alpha, |r| r.next_u64() as i64);
+        assert_conform_every_beta(rng, len, shape, alpha, |r| f32_with_specials().sample(r));
+        assert_conform_every_beta(rng, len, shape, alpha, |r| f64_with_specials().sample(r));
+    }
+}
